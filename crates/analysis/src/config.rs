@@ -105,19 +105,11 @@ pub struct AllowEntry {
 pub const ALLOWLIST: &[AllowEntry] = &[
     AllowEntry {
         rule: "charge-before-noise",
-        path_suffix: "crates/core/src/engine/mod.rs",
-        function: Some("answer_parts"),
-        reason: "the engine's single accounted answer path: the ledger admits the \
-                 MechanismEvent (check_event_many) before sample() is reached and charges \
-                 it (charge_event_many) before answers are released",
-    },
-    AllowEntry {
-        rule: "charge-before-noise",
-        path_suffix: "crates/core/src/engine/structured.rs",
-        function: Some("answer_structured_maybe_accounted"),
-        reason: "the structured (matrix-free) accounted answer path: the ledger admits \
-                 the MechanismEvent (check_event_many) before sample() is reached and \
-                 charges it (charge_event_many) before answers are released",
+        path_suffix: "crates/core/src/engine/release.rs",
+        function: Some("release"),
+        reason: "the engine's one release step, shared by every plan kind: the ledger \
+                 admits the MechanismEvent (check_event_many) before sample() is reached \
+                 and charges it (charge_event_many) before answers are released",
     },
     AllowEntry {
         rule: "charge-before-noise",
@@ -182,14 +174,20 @@ mod tests {
     fn allowlist_narrows_by_function() {
         assert!(allow_for(
             "charge-before-noise",
-            "crates/core/src/engine/mod.rs",
-            Some("answer_parts")
+            "crates/core/src/engine/release.rs",
+            Some("release")
         )
         .is_some());
         assert!(allow_for(
             "charge-before-noise",
+            "crates/core/src/engine/release.rs",
+            Some("answer_dense")
+        )
+        .is_none());
+        assert!(allow_for(
+            "charge-before-noise",
             "crates/core/src/engine/mod.rs",
-            Some("select_entry")
+            Some("release")
         )
         .is_none());
         assert!(allow_for(

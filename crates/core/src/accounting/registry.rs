@@ -16,9 +16,9 @@
 //!
 //! Concurrency semantics: every check *and* charge takes the ledger's lock,
 //! so charges serialize and the budget can never be jointly over-spent.  The
-//! engine's answer path re-checks affordability at charge time (see
-//! `Engine::answer_parts`), so a race between two sessions' pre-checks fails
-//! closed — the loser's answers are dropped unreleased and it receives
+//! engine's release step re-checks affordability at charge time, so a race
+//! between two sessions' pre-checks fails closed — the loser's answers are
+//! dropped unreleased and it receives
 //! [`BudgetExhausted`](crate::MechanismError::BudgetExhausted).
 
 use super::{Accountant, AccountantFactory, MechanismEvent, SequentialAccounting};

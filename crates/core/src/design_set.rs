@@ -15,7 +15,8 @@
 //! directly.
 
 use crate::MechanismError;
-use mm_linalg::{ops, solve, Matrix};
+use mm_linalg::decomp::Cholesky;
+use mm_linalg::{ops, Matrix};
 use mm_opt::{solve_log_gd, GdOptions, WeightingProblem};
 use mm_strategies::strategy::EXPLICIT_ENTRY_LIMIT;
 use mm_strategies::Strategy;
@@ -70,11 +71,13 @@ pub fn design_costs(workload_gram: &Matrix, design: &Matrix) -> crate::Result<Ve
     let s = ops::outer_gram(design);
     let qg = ops::matmul(design, workload_gram)?;
     let r = ops::matmul_a_bt(&qg, design)?;
-    let s_inv = solve::inverse_spd(&s).map_err(|_| {
-        MechanismError::InvalidArgument(
-            "design queries must be linearly independent (Q Qᵀ is singular)".into(),
-        )
-    })?;
+    let s_inv = Cholesky::new(&s)
+        .map_err(|_| {
+            MechanismError::InvalidArgument(
+                "design queries must be linearly independent (Q Qᵀ is singular)".into(),
+            )
+        })?
+        .inverse();
     let m = ops::matmul(&ops::matmul(&s_inv, &r)?, &s_inv)?;
     Ok(m.diag())
 }

@@ -5,11 +5,12 @@
 //! and then serves any number of `answer` calls:
 //!
 //! ```text
-//!     Engine::builder()                        Session / OwnedSession
+//!     Engine::builder()                        Session<E: Borrow<Engine>>
 //!       .privacy(ε, δ)                            │ charge (ε,δ) per answer
 //!       .selector(…)      ──► Engine::answer ◄────┘   (BudgetLedger)
 //!       .backend(…)             │
-//!       .build()                ├── plan fingerprint ──► StrategyCache
+//!       .build()                ├── admit: shapes, privacy, O(1) budget probe
+//!                               ├── plan fingerprint ──► StrategyCache
 //!                               │     (sharded LRU of SelectionPlans;
 //!                               │      hit: skip selection)
 //!                               ├── selection (miss: single-flight) —
@@ -17,19 +18,23 @@
 //!                               │     Low-Rank Mechanism (builder knob
 //!                               │     `low_rank(r)`: eigen-design in the
 //!                               │     top-r subspace, O(nr² + r³))
-//!                               └── NoiseBackend: noisy y = Ax + noise,
-//!                                   x̂ = A⁺y, answers = W x̂
+//!                               └── release: check ledger, y = Ax + noise
+//!                                   (NoiseBackend), x̂ = A⁺y, charge once;
+//!                                   answers = W x̂
 //! ```
 //!
 //! Every selection pipeline — dense, structured (matrix-free) and low-rank —
 //! produces one [`SelectionPlan`], the single currency of the cache, the
-//! persistent [`StrategyStore`] and the answer paths (see [`plan`]).
+//! persistent [`StrategyStore`] and the answer paths (see [`plan`]), and
+//! every plan kind answers through the same release step: dense and
+//! low-rank plans through triangular solves on a cached factor, structured
+//! plans through conjugate gradient.
 //!
 //! The engine is a concurrent server: all methods take `&self`, the cache is
 //! sharded and single-flight (N threads missing on one workload run one
-//! selection), [`OwnedSession`] moves across threads/async tasks over an
-//! `Arc<Engine>`, and [`Engine::answer_batch`] serves many databases under
-//! one workload for a single cache lookup.
+//! selection), an [`OwnedSession`] (`Session<Arc<Engine>>`) moves across
+//! threads/async tasks, and [`Engine::answer_batch`] serves many databases
+//! under one workload for a single cache lookup.
 //!
 //! Strategy selection is data independent (Sec. 1 of the paper): a selected
 //! strategy "can be computed once and reused across databases".  The engine
@@ -75,6 +80,7 @@ pub mod breaker;
 pub mod cache;
 mod low_rank;
 pub mod plan;
+mod release;
 pub mod selector;
 pub mod session;
 pub mod store;
@@ -680,28 +686,20 @@ impl Engine {
     /// Opens a budgeted session borrowing this engine, accounting through
     /// the engine's configured policy (sequential composition unless
     /// [`EngineBuilder::accountant`] chose otherwise).
-    pub fn session(&self, budget: PrivacyBudget) -> Session<'_> {
+    pub fn session(&self, budget: PrivacyBudget) -> Session<&Engine> {
         Session::new(self, budget)
     }
 
     /// Opens a budgeted session charging through an explicit accountant,
     /// overriding the engine's configured policy for this one session.
-    pub fn session_with_accountant(&self, accountant: Box<dyn Accountant>) -> Session<'_> {
+    pub fn session_with_accountant(&self, accountant: Box<dyn Accountant>) -> Session<&Engine> {
         Session::with_accountant(self, accountant)
     }
 
     /// Opens a budgeted session that *owns* a handle to this engine, so it
     /// can move across threads or async tasks (see [`OwnedSession`]).
     pub fn owned_session(self: &Arc<Self>, budget: PrivacyBudget) -> OwnedSession {
-        OwnedSession::new(self.clone(), budget)
-    }
-
-    /// Opens an owned session charging through an explicit accountant.
-    pub fn owned_session_with_accountant(
-        self: &Arc<Self>,
-        accountant: Box<dyn Accountant>,
-    ) -> OwnedSession {
-        OwnedSession::with_accountant(self.clone(), accountant)
+        Session::new(self.clone(), budget)
     }
 
     /// Opens an owned session that charges a principal's **shared**
@@ -710,7 +708,7 @@ impl Engine {
     /// same composed budget, so one person's sessions can jointly answer
     /// exactly as many queries as a single session on that budget could.
     pub fn user_session(self: &Arc<Self>, ledger: &crate::accounting::UserLedger) -> OwnedSession {
-        OwnedSession::with_accountant(self.clone(), ledger.accountant_handle())
+        Session::with_accountant(self.clone(), ledger.accountant_handle())
     }
 
     /// Selects (or fetches from cache) the strategy for a workload, returning
@@ -878,8 +876,7 @@ impl Engine {
         self.answer_with_privacy(workload, self.privacy, x, rng)
     }
 
-    /// Like [`Engine::answer`] with explicit per-call privacy parameters
-    /// (used by [`Session`] for per-call budget spend).
+    /// Like [`Engine::answer`] with explicit per-call privacy parameters.
     pub fn answer_with_privacy<W: Workload + ?Sized, R: Rng>(
         &self,
         workload: &W,
@@ -887,8 +884,8 @@ impl Engine {
         x: &[f64],
         rng: &mut R,
     ) -> crate::Result<EngineAnswer> {
-        let mut answers = self.answer_batch_with_privacy(workload, privacy, &[x], rng)?;
-        Ok(answers.pop().expect("one answer per data vector"))
+        self.answer_dense(workload, None, privacy, &[x], rng, None)
+            .map(single)
     }
 
     /// Answers the same workload on many data vectors (many databases) in
@@ -912,60 +909,7 @@ impl Engine {
         rng: &mut R,
     ) -> crate::Result<Vec<EngineAnswer>> {
         let xs: Vec<&[f64]> = xs.iter().map(AsRef::as_ref).collect();
-        self.answer_batch_with_privacy(workload, self.privacy, &xs, rng)
-    }
-
-    /// [`Engine::answer_batch`] with explicit per-call privacy parameters.
-    pub fn answer_batch_with_privacy<W: Workload + ?Sized, R: Rng>(
-        &self,
-        workload: &W,
-        privacy: PrivacyParams,
-        xs: &[&[f64]],
-        rng: &mut R,
-    ) -> crate::Result<Vec<EngineAnswer>> {
-        self.answer_batch_maybe_accounted(workload, privacy, xs, rng, None)
-    }
-
-    /// The session-facing batch path: answers like
-    /// [`Engine::answer_batch_with_privacy`], but records one full
-    /// [`MechanismEvent`](crate::accounting::MechanismEvent) per data vector
-    /// on `ledger` — with the actual noise scale and strategy sensitivity of
-    /// the release — and fails closed (spending nothing, before any noise is
-    /// drawn) when the ledger's accountant rejects the composed batch charge.
-    pub(crate) fn answer_batch_accounted<W: Workload + ?Sized, R: Rng>(
-        &self,
-        workload: &W,
-        privacy: PrivacyParams,
-        xs: &[&[f64]],
-        rng: &mut R,
-        ledger: &mut session::BudgetLedger,
-    ) -> crate::Result<Vec<EngineAnswer>> {
-        self.answer_batch_maybe_accounted(workload, privacy, xs, rng, Some(ledger))
-    }
-
-    fn answer_batch_maybe_accounted<W: Workload + ?Sized, R: Rng>(
-        &self,
-        workload: &W,
-        privacy: PrivacyParams,
-        xs: &[&[f64]],
-        rng: &mut R,
-        ledger: Option<&mut session::BudgetLedger>,
-    ) -> crate::Result<Vec<EngineAnswer>> {
-        self.backend.validate(&privacy)?;
-        let gram = workload.gram();
-        let fingerprint = self.plan_fingerprint(try_gram_fingerprint(&gram)?, gram.rows());
-        let (plan, cache_hit) = self.select_plan(workload, &gram, fingerprint)?;
-        self.answer_parts(
-            workload,
-            &gram,
-            plan,
-            fingerprint,
-            cache_hit,
-            privacy,
-            xs,
-            rng,
-            ledger,
-        )
+        self.answer_dense(workload, None, self.privacy, &xs, rng, None)
     }
 
     /// Answers with a caller-provided strategy (e.g. one selected on a
@@ -982,210 +926,14 @@ impl Engine {
         x: &[f64],
         rng: &mut R,
     ) -> crate::Result<EngineAnswer> {
-        self.answer_with_strategy_maybe_accounted(workload, strategy, x, rng, None)
+        self.answer_dense(workload, Some(strategy), self.privacy, &[x], rng, None)
+            .map(single)
     }
+}
 
-    /// The session-facing custom-strategy path: like
-    /// [`Engine::answer_with_strategy`], but records the release's full
-    /// mechanism event on `ledger` (see [`Engine::answer_batch_accounted`]).
-    pub(crate) fn answer_with_strategy_accounted<W: Workload + ?Sized, R: Rng>(
-        &self,
-        workload: &W,
-        strategy: Arc<Strategy>,
-        x: &[f64],
-        rng: &mut R,
-        ledger: &mut session::BudgetLedger,
-    ) -> crate::Result<EngineAnswer> {
-        self.answer_with_strategy_maybe_accounted(workload, strategy, x, rng, Some(ledger))
-    }
-
-    fn answer_with_strategy_maybe_accounted<W: Workload + ?Sized, R: Rng>(
-        &self,
-        workload: &W,
-        strategy: Arc<Strategy>,
-        x: &[f64],
-        rng: &mut R,
-        ledger: Option<&mut session::BudgetLedger>,
-    ) -> crate::Result<EngineAnswer> {
-        self.backend.validate(&self.privacy)?;
-        let gram = workload.gram();
-        let fingerprint = try_gram_fingerprint(&gram)?;
-        let plan = Arc::new(SelectionPlan::Dense(Arc::new(CachedSelection::new(
-            strategy,
-        ))));
-        let mut answers = self.answer_parts(
-            workload,
-            &gram,
-            plan,
-            fingerprint,
-            false,
-            self.privacy,
-            &[x],
-            rng,
-            ledger,
-        )?;
-        Ok(answers.pop().expect("one answer per data vector"))
-    }
-
-    /// The unified answer path, vectorised over data vectors: per batch, one
-    /// round of validation plus the (cached) gram factor, trace term and
-    /// noise calibration; the K data vectors are packed as the columns of one
-    /// matrix `X` and the whole batch runs as a single blocked
-    /// `L⁻ᵀ(L⁻¹(Aᵀ(A·X + N)))` pass — mat-mat products and multi-RHS
-    /// triangular solves instead of K independent matvec/solve round-trips.
-    /// Per vector only the workload evaluation `W x̂ₖ` remains.
-    ///
-    /// A single `answer` is exactly the K = 1 batch, and every kernel in the
-    /// pass is column-wise bit-identical across widths, so batching never
-    /// changes a result: `answer_batch` on K vectors equals K sequential
-    /// `answer` calls on the same rng, byte for byte.  (The noise matrix `N`
-    /// is filled column by column for the same reason — one backend draw of
-    /// length p per vector, p being the strategy's query count, the same
-    /// stream a sequential caller consumes.)
-    ///
-    /// When a session `ledger` is supplied, the release's full mechanism
-    /// event (backend kind, actual noise scale and sensitivity, requested
-    /// (ε, δ)) is checked against the accountant's composed post-charge
-    /// spend *before* any noise is drawn — a rejected batch spends nothing —
-    /// and charged once per data vector after the whole batch succeeds, so
-    /// a failure anywhere in the pass also spends nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn answer_parts<W: Workload + ?Sized, R: Rng>(
-        &self,
-        workload: &W,
-        workload_gram: &Matrix,
-        plan: Arc<SelectionPlan>,
-        fingerprint: Fingerprint,
-        cache_hit: bool,
-        privacy: PrivacyParams,
-        xs: &[&[f64]],
-        rng: &mut R,
-        mut ledger: Option<&mut session::BudgetLedger>,
-    ) -> crate::Result<Vec<EngineAnswer>> {
-        // Dispatch on the plan kind: a dense plan runs the classic pipeline
-        // against the workload gram; a low-rank plan runs the *identical*
-        // pipeline inside the subspace (project the data through the basis,
-        // answer there, recombine), with its trace term taken against the
-        // projected gram `L̃GL̃ᵀ`; structured plans are matrix-free and
-        // answered through the structured paths.
-        let (entry, basis, trace_gram): (&CachedSelection, Option<&Matrix>, &Matrix) = match &*plan
-        {
-            SelectionPlan::Dense(entry) => (entry.as_ref(), None, workload_gram),
-            SelectionPlan::LowRank(lr) => (lr.selection(), Some(lr.basis()), lr.subspace_gram()),
-            SelectionPlan::Structured(_) => {
-                return Err(MechanismError::InvalidArgument(
-                    "a structured plan cannot be answered through the dense path; \
-                     use the structured answer paths"
-                        .into(),
-                ))
-            }
-        };
-        let strategy = entry.strategy().clone();
-        let dim = plan.dim();
-        if workload.dim() != dim {
-            return Err(MechanismError::InvalidArgument(format!(
-                "workload covers {} cells but the strategy covers {}",
-                workload.dim(),
-                dim
-            )));
-        }
-        for x in xs {
-            if x.len() != dim {
-                return Err(MechanismError::InvalidArgument(format!(
-                    "data vector has {} cells but the strategy covers {}",
-                    x.len(),
-                    dim
-                )));
-            }
-        }
-        let a = strategy
-            .matrix()
-            .ok_or_else(|| MechanismError::StrategyNotMaterialized(strategy.name().to_string()))?;
-        let m = workload.query_count();
-        if m == 0 {
-            return Err(MechanismError::InvalidArgument(
-                "workload has no queries".into(),
-            ));
-        }
-        // An empty batch is valid and does no per-vector work (the cached
-        // factor and trace term are not even materialised).
-        let k = xs.len();
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        // Predicted error through the cached factor and trace term
-        // (Prop. 4 / Sec. 3.5) — both are data- and privacy-independent.
-        // A low-rank strategy's sensitivities are those of the end-to-end
-        // map `A_sub·L̃`, so the calibration below covers the whole release.
-        let factor = entry.factor()?;
-        let sens = self.backend.sensitivity(&strategy);
-        let tse =
-            self.backend.error_constant(&privacy)? * sens * sens * entry.trace_term(trace_gram)?;
-        let expected_rms_error = (tse / m as f64).sqrt();
-        let scale = self.backend.noise_scale(&privacy, sens);
-
-        // Budgeted path: fail closed on the accountant's composed
-        // post-charge spend before a single noise value is drawn.
-        let event = self.backend.mechanism_event(&privacy, sens);
-        if let Some(ledger) = ledger.as_deref_mut() {
-            ledger.check_event_many(&event, k)?;
-        }
-
-        // Pack the K data vectors as columns of X (n × K); a low-rank plan
-        // first projects them into the subspace, Z = L̃·X, where the rest of
-        // the pipeline is column-for-column the dense one.
-        let x_mat = Matrix::from_fn(dim, k, |i, c| xs[c][i]);
-        let design_in = match basis {
-            Some(b) => b.matmul(&x_mat)?,
-            None => x_mat,
-        };
-        // Noisy strategy answers for the whole batch: Y = A·X + N, with one
-        // independent length-p noise draw per column (p strategy queries).
-        let mut y = a.matmul(&design_in)?;
-        let p = y.rows();
-        for c in 0..k {
-            let noise = self.backend.sample(rng, scale, p);
-            let y_data = y.as_mut_slice();
-            for (i, ni) in noise.into_iter().enumerate() {
-                y_data[i * k + c] += ni;
-            }
-        }
-        // Batched least-squares inference through the shared factor:
-        // X̂ = L⁻ᵀ(L⁻¹(AᵀY)); a low-rank plan recovers the subspace
-        // coordinates Ẑ and recombines through the basis, X̂ = L̃ᵀ·Ẑ.
-        let aty = a.matmul_transpose_left(&y)?;
-        let solved = factor.solve_upper_multi(&factor.solve_lower_multi(&aty)?)?;
-        let estimates = match basis {
-            Some(b) => b.matmul_transpose_left(&solved)?,
-            None => solved,
-        };
-        // Workload evaluation stays vectorised too: `W·X̂` in one pass
-        // (explicit workloads route it through the blocked matmul kernel),
-        // column-wise bit-identical to per-vector evaluation.
-        let evaluated = workload.evaluate_matrix(&estimates);
-        debug_assert_eq!(evaluated.shape(), (m, k));
-        let mut out = Vec::with_capacity(k);
-        for c in 0..k {
-            out.push(EngineAnswer {
-                answers: evaluated.col(c),
-                estimate: estimates.col(c),
-                strategy: strategy.clone(),
-                expected_rms_error,
-                fingerprint,
-                cache_hit,
-            });
-        }
-        // The whole batch succeeded: record one mechanism event per data
-        // vector.  With a session-private accountant the pre-check above
-        // makes this infallible, but a *shared* accountant (cross-session
-        // [`crate::accounting::UserLedger`]) can be charged concurrently
-        // between the check and here — in that race the answers are dropped
-        // unreleased and the budget error propagates, failing closed.
-        if let Some(ledger) = ledger {
-            ledger.charge_event_many(&event, k)?;
-        }
-        Ok(out)
-    }
+/// The one answer of a one-vector batch.
+pub(crate) fn single(mut answers: Vec<EngineAnswer>) -> EngineAnswer {
+    answers.pop().expect("one answer per data vector")
 }
 
 #[cfg(test)]
@@ -1331,10 +1079,20 @@ mod tests {
 
     #[test]
     fn dimension_mismatches_rejected() {
-        let w = AllRangeWorkload::new(Domain::one_dim(16));
-        let engine = Engine::new(PrivacyParams::paper_default());
+        // Malformed input is rejected before the key is derived: no cache
+        // lookup, no selection, nothing persisted.
+        let w = AllRangeWorkload::new(Domain::one_dim(64));
+        let dir = std::env::temp_dir().join(format!("mm-engine-dims-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::builder().strategy_store(&dir).build().unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(engine.answer(&w, &[1.0; 8], &mut rng).is_err());
+        let err = engine.answer(&w, &[1.0; 8], &mut rng).unwrap_err();
+        assert!(matches!(err, MechanismError::InvalidArgument(_)), "{err:?}");
+        let stats = engine.stats();
+        assert_eq!(stats.selections, 0);
+        assert_eq!(stats.cache_hits + stats.cache_misses, 0);
+        assert_eq!(stats.store_writes, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,15 +13,14 @@
 //! budget fails with [`MechanismError::BudgetExhausted`] *before* any noise
 //! is drawn or data touched, so a failed call spends nothing.
 
+use super::{single, Engine, EngineAnswer, StructuredAnswer};
 use crate::accounting::{Accountant, MechanismEvent, SequentialAccountant};
-use crate::engine::{Engine, EngineAnswer, StructuredAnswer};
 use crate::privacy::PrivacyParams;
-// Referenced by the accounting-contract doc links (and the tests).
-#[allow(unused_imports)]
 use crate::MechanismError;
 use mm_strategies::Strategy;
 use mm_workload::{StructuredWorkload, Workload};
 use rand::Rng;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// A total privacy budget (ε, δ) available to a session.
@@ -194,142 +193,77 @@ impl BudgetLedger {
     }
 }
 
-/// The engine-independent session state: the ledger plus the answer/charge
-/// logic shared by the borrowed [`Session`] and the owned [`OwnedSession`].
-#[derive(Debug)]
-struct SessionCore {
-    ledger: BudgetLedger,
-}
-
-impl SessionCore {
-    fn new(ledger: BudgetLedger) -> Self {
-        SessionCore { ledger }
-    }
-
-    /// The session answer paths below all start with a fast-fail
-    /// affordability pre-check — *before* any strategy selection or cache
-    /// work — probing the accountant with the backend's event at **unit
-    /// sensitivity**.  The RDP curves are functions of the ratio σ/Δ only
-    /// (and the other accountants of the requested (ε, δ) only), so for the
-    /// built-in backends this is exactly the decision the authoritative
-    /// post-selection check inside the engine will make — an exhausted
-    /// session rejects in O(1) instead of paying an O(n³) selection and
-    /// churning the shared strategy cache.
-    fn answer_with_privacy<W: Workload + ?Sized, R: Rng>(
-        &mut self,
-        engine: &Engine,
-        workload: &W,
-        privacy: PrivacyParams,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<EngineAnswer> {
-        let probe = engine.backend().mechanism_event(&privacy, 1.0);
-        self.ledger.check_event_many(&probe, 1)?;
-        let mut answers =
-            engine.answer_batch_accounted(workload, privacy, &[x], rng, &mut self.ledger)?;
-        Ok(answers.pop().expect("one answer per data vector"))
-    }
-
-    fn answer_with_strategy<W: Workload + ?Sized, R: Rng>(
-        &mut self,
-        engine: &Engine,
-        workload: &W,
-        strategy: Arc<Strategy>,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<EngineAnswer> {
-        let probe = engine.backend().mechanism_event(engine.privacy(), 1.0);
-        self.ledger.check_event_many(&probe, 1)?;
-        engine.answer_with_strategy_accounted(workload, strategy, x, rng, &mut self.ledger)
-    }
-
-    fn answer_structured<W: StructuredWorkload + ?Sized, R: Rng>(
-        &mut self,
-        engine: &Engine,
-        workload: &W,
-        privacy: PrivacyParams,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<StructuredAnswer> {
-        let probe = engine.backend().mechanism_event(&privacy, 1.0);
-        self.ledger.check_event_many(&probe, 1)?;
-        engine.answer_structured_accounted(workload, privacy, x, rng, &mut self.ledger)
-    }
-
-    fn answer_batch<W: Workload + ?Sized, R: Rng>(
-        &mut self,
-        engine: &Engine,
-        workload: &W,
-        xs: &[&[f64]],
-        rng: &mut R,
-    ) -> crate::Result<Vec<EngineAnswer>> {
-        // All-or-nothing: the engine re-checks the *composed* spend of the
-        // whole batch against the accountant before any noise is drawn, so
-        // a batch that does not fit spends nothing.
-        let probe = engine.backend().mechanism_event(engine.privacy(), 1.0);
-        self.ledger.check_event_many(&probe, xs.len())?;
-        engine.answer_batch_accounted(workload, *engine.privacy(), xs, rng, &mut self.ledger)
-    }
-}
-
 /// A serving session: an engine plus a privacy-budget ledger.
 ///
-/// Created with [`Engine::session`] (which accounts through the engine's
-/// configured [`AccountantFactory`](crate::accounting::AccountantFactory),
-/// sequential composition by default) or
-/// [`Engine::session_with_accountant`].  The session borrows the engine, so
-/// the (shared, data-independent) strategy cache keeps working across
-/// sessions — only the budget is per-session state.  For a session that
-/// moves across threads or async tasks, use [`Engine::owned_session`].
+/// `E` is how the session holds its engine: `Session<&Engine>` borrows it
+/// ([`Engine::session`], [`Engine::session_with_accountant`]), while
+/// [`OwnedSession`] (`Session<Arc<Engine>>`, from [`Engine::owned_session`]
+/// or [`Engine::user_session`]) owns a handle, so it is `Send + 'static` and
+/// can move across threads or async tasks — the shape a concurrent server
+/// hands to each connection.  Either way the (shared, data-independent)
+/// strategy cache keeps working across sessions; only the budget is
+/// per-session state.  Sessions account through the engine's configured
+/// [`AccountantFactory`](crate::accounting::AccountantFactory) (sequential
+/// composition by default) unless opened with an explicit accountant.
 ///
 /// # Accounting contract
 ///
 /// *Every* answering method on a session charges its privacy cost to the
 /// ledger as a full [`MechanismEvent`] (backend kind, noise scale,
-/// sensitivity, requested (ε, δ)): [`Session::answer`] and
-/// [`Session::answer_with_strategy`] charge the engine's per-answer (ε, δ),
-/// [`Session::answer_with_privacy`] charges its explicit parameters, and
-/// [`Session::answer_batch`] charges once per data vector, with
-/// affordability decided by the accountant's *composed* post-charge spend
-/// (all-or-nothing for the batch).  A call whose charge does not fit fails
-/// with [`MechanismError::BudgetExhausted`] before any noise is drawn or
-/// data is touched, and spends nothing; a call that fails for any other
+/// sensitivity, requested (ε, δ)): [`Session::answer`],
+/// [`Session::answer_with_strategy`] and [`Session::answer_structured`]
+/// charge the engine's per-answer (ε, δ), [`Session::answer_with_privacy`]
+/// charges its explicit parameters, and [`Session::answer_batch`] charges
+/// once per data vector, with affordability decided by the accountant's
+/// *composed* post-charge spend (all-or-nothing for the batch).  A call
+/// whose charge does not fit fails with [`MechanismError::BudgetExhausted`]
+/// before any strategy selection, noise draw or data access (see
+/// [`Engine::admit`]), and spends nothing; a call that fails for any other
 /// reason (after the affordability check) also spends nothing.  Answering
 /// through `session.engine()` directly bypasses the ledger and is *not*
 /// covered by the session's budget guarantee — the engine has no ledger of
 /// its own.
 #[derive(Debug)]
-pub struct Session<'e> {
-    engine: &'e Engine,
-    core: SessionCore,
+pub struct Session<E: Borrow<Engine>> {
+    engine: E,
+    ledger: BudgetLedger,
 }
 
-impl<'e> Session<'e> {
-    pub(crate) fn new(engine: &'e Engine, budget: PrivacyBudget) -> Self {
-        let accountant = engine.accountant_factory().accountant(budget);
+/// A [`Session`] that owns its engine handle: `Send + 'static`, so it can
+/// move across threads or async tasks.
+pub type OwnedSession = Session<Arc<Engine>>;
+
+impl<E: Borrow<Engine>> Session<E> {
+    /// Opens a session over `engine`, accounting through the engine's
+    /// configured accountant factory.
+    pub fn new(engine: E, budget: PrivacyBudget) -> Self {
+        let accountant = Borrow::<Engine>::borrow(&engine)
+            .accountant_factory()
+            .accountant(budget);
         Session::with_accountant(engine, accountant)
     }
 
-    pub(crate) fn with_accountant(engine: &'e Engine, accountant: Box<dyn Accountant>) -> Self {
+    /// Opens a session charging through an explicit accountant.
+    pub fn with_accountant(engine: E, accountant: Box<dyn Accountant>) -> Self {
         Session {
             engine,
-            core: SessionCore::new(BudgetLedger::with_accountant(accountant)),
+            ledger: BudgetLedger::with_accountant(accountant),
         }
     }
 
     /// The engine this session serves through.
     pub fn engine(&self) -> &Engine {
-        self.engine
+        self.engine.borrow()
     }
 
     /// The session's ledger (totals, composed spend, charge history).
     pub fn ledger(&self) -> &BudgetLedger {
-        &self.core.ledger
+        &self.ledger
     }
 
     /// Budget still available under the session's accountant.
     pub fn remaining(&self) -> PrivacyBudget {
-        self.core.ledger.remaining()
+        self.ledger.remaining()
     }
 
     /// Answers a workload at the engine's per-answer privacy parameters,
@@ -342,7 +276,8 @@ impl<'e> Session<'e> {
         x: &[f64],
         rng: &mut R,
     ) -> crate::Result<EngineAnswer> {
-        self.answer_with_privacy(workload, *self.engine.privacy(), x, rng)
+        let privacy = *self.engine().privacy();
+        self.answer_with_privacy(workload, privacy, x, rng)
     }
 
     /// Answers a workload at explicit per-call privacy parameters (spending
@@ -355,8 +290,10 @@ impl<'e> Session<'e> {
         x: &[f64],
         rng: &mut R,
     ) -> crate::Result<EngineAnswer> {
-        self.core
-            .answer_with_privacy(self.engine, workload, privacy, x, rng)
+        let engine: &Engine = self.engine.borrow();
+        engine
+            .answer_dense(workload, None, privacy, &[x], rng, Some(&mut self.ledger))
+            .map(single)
     }
 
     /// Answers with a caller-provided strategy
@@ -370,8 +307,18 @@ impl<'e> Session<'e> {
         x: &[f64],
         rng: &mut R,
     ) -> crate::Result<EngineAnswer> {
-        self.core
-            .answer_with_strategy(self.engine, workload, strategy, x, rng)
+        let engine: &Engine = self.engine.borrow();
+        let privacy = *engine.privacy();
+        engine
+            .answer_dense(
+                workload,
+                Some(strategy),
+                privacy,
+                &[x],
+                rng,
+                Some(&mut self.ledger),
+            )
+            .map(single)
     }
 
     /// Answers a structured workload through the engine's matrix-free path
@@ -384,22 +331,9 @@ impl<'e> Session<'e> {
         x: &[f64],
         rng: &mut R,
     ) -> crate::Result<StructuredAnswer> {
-        self.core
-            .answer_structured(self.engine, workload, *self.engine.privacy(), x, rng)
-    }
-
-    /// Answers a structured workload at explicit per-call privacy
-    /// parameters, charging them to the ledger (the structured analogue of
-    /// [`Session::answer_with_privacy`]).
-    pub fn answer_structured_with_privacy<W: StructuredWorkload + ?Sized, R: Rng>(
-        &mut self,
-        workload: &W,
-        privacy: PrivacyParams,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<StructuredAnswer> {
-        self.core
-            .answer_structured(self.engine, workload, privacy, x, rng)
+        let engine: &Engine = self.engine.borrow();
+        let privacy = *engine.privacy();
+        engine.answer_matrix_free(workload, privacy, x, rng, Some(&mut self.ledger))
     }
 
     /// Answers many data vectors under one workload
@@ -414,130 +348,9 @@ impl<'e> Session<'e> {
         rng: &mut R,
     ) -> crate::Result<Vec<EngineAnswer>> {
         let xs: Vec<&[f64]> = xs.iter().map(AsRef::as_ref).collect();
-        self.core.answer_batch(self.engine, workload, &xs, rng)
-    }
-}
-
-/// A [`Session`] that owns its engine handle (`Arc<Engine>`), so it is
-/// `Send + 'static` and can move across threads or async tasks — the shape a
-/// concurrent server hands to each connection.  Budget accounting is
-/// identical to [`Session`] (see its accounting contract); the engine's
-/// strategy cache stays shared through the `Arc`.
-///
-/// Created with [`Engine::owned_session`],
-/// [`Engine::owned_session_with_accountant`] or [`OwnedSession::new`].
-#[derive(Debug)]
-pub struct OwnedSession {
-    engine: Arc<Engine>,
-    core: SessionCore,
-}
-
-impl OwnedSession {
-    /// Opens an owned session over a shared engine, accounting through the
-    /// engine's configured accountant factory.
-    pub fn new(engine: Arc<Engine>, budget: PrivacyBudget) -> Self {
-        let accountant = engine.accountant_factory().accountant(budget);
-        OwnedSession::with_accountant(engine, accountant)
-    }
-
-    /// Opens an owned session charging through an explicit accountant.
-    pub fn with_accountant(engine: Arc<Engine>, accountant: Box<dyn Accountant>) -> Self {
-        OwnedSession {
-            engine,
-            core: SessionCore::new(BudgetLedger::with_accountant(accountant)),
-        }
-    }
-
-    /// The engine this session serves through.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
-    }
-
-    /// The session's ledger (totals, composed spend, charge history).
-    pub fn ledger(&self) -> &BudgetLedger {
-        &self.core.ledger
-    }
-
-    /// Budget still available under the session's accountant.
-    pub fn remaining(&self) -> PrivacyBudget {
-        self.core.ledger.remaining()
-    }
-
-    /// Answers a workload at the engine's per-answer privacy parameters,
-    /// charging them to the ledger (see [`Session::answer`]).
-    pub fn answer<W: Workload + ?Sized, R: Rng>(
-        &mut self,
-        workload: &W,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<EngineAnswer> {
-        let privacy = *self.engine.privacy();
-        self.answer_with_privacy(workload, privacy, x, rng)
-    }
-
-    /// Answers at explicit per-call privacy parameters, charging them to the
-    /// ledger (see [`Session::answer_with_privacy`]).
-    pub fn answer_with_privacy<W: Workload + ?Sized, R: Rng>(
-        &mut self,
-        workload: &W,
-        privacy: PrivacyParams,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<EngineAnswer> {
-        self.core
-            .answer_with_privacy(&self.engine, workload, privacy, x, rng)
-    }
-
-    /// Answers with a caller-provided strategy, charging the engine's
-    /// per-answer (ε, δ) (see [`Session::answer_with_strategy`]).
-    pub fn answer_with_strategy<W: Workload + ?Sized, R: Rng>(
-        &mut self,
-        workload: &W,
-        strategy: Arc<Strategy>,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<EngineAnswer> {
-        self.core
-            .answer_with_strategy(&self.engine, workload, strategy, x, rng)
-    }
-
-    /// Answers a structured workload through the engine's matrix-free path,
-    /// charging the engine's per-answer (ε, δ) (see
-    /// [`Session::answer_structured`]).
-    pub fn answer_structured<W: StructuredWorkload + ?Sized, R: Rng>(
-        &mut self,
-        workload: &W,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<StructuredAnswer> {
-        let privacy = *self.engine.privacy();
-        self.core
-            .answer_structured(&self.engine, workload, privacy, x, rng)
-    }
-
-    /// Answers a structured workload at explicit per-call privacy
-    /// parameters (see [`Session::answer_structured_with_privacy`]).
-    pub fn answer_structured_with_privacy<W: StructuredWorkload + ?Sized, R: Rng>(
-        &mut self,
-        workload: &W,
-        privacy: PrivacyParams,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<StructuredAnswer> {
-        self.core
-            .answer_structured(&self.engine, workload, privacy, x, rng)
-    }
-
-    /// Answers many data vectors under one workload, charging once per
-    /// vector (see [`Session::answer_batch`]).
-    pub fn answer_batch<W: Workload + ?Sized, X: AsRef<[f64]>, R: Rng>(
-        &mut self,
-        workload: &W,
-        xs: &[X],
-        rng: &mut R,
-    ) -> crate::Result<Vec<EngineAnswer>> {
-        let xs: Vec<&[f64]> = xs.iter().map(AsRef::as_ref).collect();
-        self.core.answer_batch(&self.engine, workload, &xs, rng)
+        let engine: &Engine = self.engine.borrow();
+        let privacy = *engine.privacy();
+        engine.answer_dense(workload, None, privacy, &xs, rng, Some(&mut self.ledger))
     }
 }
 

@@ -37,11 +37,8 @@
 //! releases stay readable through the store's migration read path.
 
 use super::plan::SelectionPlan;
-use super::session;
 use crate::privacy::PrivacyParams;
 use crate::MechanismError;
-use mm_linalg::LinearOperator;
-use mm_opt::{cg_normal_equations, CgOptions};
 use mm_strategies::{
     haar_strategy, hierarchical_strategy_structured, StrategyDescriptor, StructuredStrategy,
 };
@@ -246,7 +243,7 @@ impl super::Engine {
         Ok((strategy, fp, hit))
     }
 
-    fn structured_entry(
+    pub(super) fn structured_entry(
         &self,
         fp: Fingerprint,
         descriptor: &WorkloadDescriptor,
@@ -302,120 +299,13 @@ impl super::Engine {
         x: &[f64],
         rng: &mut R,
     ) -> crate::Result<StructuredAnswer> {
-        self.answer_structured_with_privacy(workload, self.privacy, x, rng)
-    }
-
-    /// Like [`Engine::answer_structured`](super::Engine::answer_structured)
-    /// with explicit per-call privacy parameters (used by sessions for
-    /// per-call budget spend).
-    pub fn answer_structured_with_privacy<W: StructuredWorkload + ?Sized, R: Rng>(
-        &self,
-        workload: &W,
-        privacy: PrivacyParams,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<StructuredAnswer> {
-        self.answer_structured_maybe_accounted(workload, privacy, x, rng, None)
-    }
-
-    /// The session-facing structured path: like
-    /// [`Engine::answer_structured_with_privacy`](super::Engine::answer_structured_with_privacy),
-    /// but records the release's full mechanism event on `ledger` and fails
-    /// closed — spending nothing, before any noise is drawn — when the
-    /// accountant rejects the charge.
-    pub(crate) fn answer_structured_accounted<W: StructuredWorkload + ?Sized, R: Rng>(
-        &self,
-        workload: &W,
-        privacy: PrivacyParams,
-        x: &[f64],
-        rng: &mut R,
-        ledger: &mut session::BudgetLedger,
-    ) -> crate::Result<StructuredAnswer> {
-        self.answer_structured_maybe_accounted(workload, privacy, x, rng, Some(ledger))
-    }
-
-    fn answer_structured_maybe_accounted<W: StructuredWorkload + ?Sized, R: Rng>(
-        &self,
-        workload: &W,
-        privacy: PrivacyParams,
-        x: &[f64],
-        rng: &mut R,
-        mut ledger: Option<&mut session::BudgetLedger>,
-    ) -> crate::Result<StructuredAnswer> {
-        self.backend.validate(&privacy)?;
-        let n = workload.dim();
-        if x.len() != n {
-            return Err(MechanismError::InvalidArgument(format!(
-                "data vector has {} cells but the workload covers {n}",
-                x.len()
-            )));
-        }
-        if workload.query_count() == 0 {
-            return Err(MechanismError::InvalidArgument(
-                "workload has no queries".into(),
-            ));
-        }
-        let descriptor = workload.descriptor();
-        let fingerprint = structured_fingerprint(&descriptor);
-        let (strategy, cache_hit) = self.structured_entry(fingerprint, &descriptor)?;
-        if strategy.dim() != n {
-            return Err(MechanismError::InvalidArgument(format!(
-                "workload covers {n} cells but the structured strategy covers {}",
-                strategy.dim()
-            )));
-        }
-        let op = strategy.operator().clone();
-        let sens = self
-            .backend
-            .sensitivity_from_norms(strategy.l2_sensitivity(), strategy.l1_sensitivity());
-        let scale = self.backend.noise_scale(&privacy, sens);
-        let expected_rms_error =
-            self.structured_expected_rms_error(&descriptor, &strategy, &privacy, sens)?;
-
-        // Budgeted path: fail closed on the accountant's composed
-        // post-charge spend before a single noise value is drawn.
-        let event = self.backend.mechanism_event(&privacy, sens);
-        if let Some(ledger) = ledger.as_deref_mut() {
-            ledger.check_event_many(&event, 1)?;
-        }
-
-        // Noisy strategy observations y = A·x + noise, one operator apply.
-        let mut y = op.apply(x);
-        let noise = self.backend.sample(rng, scale, y.len());
-        for (yi, ni) in y.iter_mut().zip(noise) {
-            *yi += ni;
-        }
-        // Matrix-free least-squares inference: AᵀA x̂ = Aᵀy by conjugate
-        // gradient.  The tree/wavelet grams have O(log n) distinct
-        // eigenvalues, so CG converges in a few dozen iterations at any n.
-        let estimate = cg_normal_equations(
-            |v| op.apply(v),
-            |w| op.apply_transpose(w),
-            &y,
-            &CgOptions::default(),
-        )?;
-        let answers = workload.evaluate(&estimate);
-
-        // The release succeeded: record its mechanism event.  As on the
-        // dense path, a shared accountant charged concurrently between the
-        // check and here drops the answer unreleased and fails closed.
-        if let Some(ledger) = ledger {
-            ledger.charge_event_many(&event, 1)?;
-        }
-        Ok(StructuredAnswer {
-            answers,
-            estimate,
-            strategy,
-            expected_rms_error,
-            fingerprint,
-            cache_hit,
-        })
+        self.answer_matrix_free(workload, self.privacy, x, rng, None)
     }
 
     /// The closed-form predicted RMS workload error, where one exists:
     /// currently the Haar strategy against interval workloads (see
     /// [`haar_interval_trace`]).  `None` means "not computed", never "zero".
-    fn structured_expected_rms_error(
+    pub(super) fn structured_expected_rms_error(
         &self,
         descriptor: &WorkloadDescriptor,
         strategy: &StructuredStrategy,
@@ -442,6 +332,7 @@ mod tests {
     use crate::engine::Engine;
     use crate::PrivacyParams;
     use mm_linalg::{ops, LinearOperator};
+    use mm_opt::{cg_normal_equations, CgOptions};
     use mm_workload::RangeQueryWorkload;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -22,12 +22,14 @@
 //! * [`pure_dp`] — the ε-differential-privacy (L1) variant of optimal query
 //!   weighting (Sec. 3.5);
 //! * [`engine`] — **the primary entry point**: a serving [`engine::Engine`]
-//!   with pluggable strategy selection ([`engine::StrategySelector`]), a
-//!   Gaussian/Laplace noise backend behind one answer path
-//!   ([`mechanism::NoiseBackend`]), every selection artifact (dense,
-//!   structured, low-rank) unified behind one [`engine::SelectionPlan`]
-//!   currency flowing through one cache and one persistent store, and
-//!   budgeted [`engine::Session`]s charging through a pluggable
+//!   with pluggable strategy selection ([`engine::StrategySelector`]), every
+//!   selection artifact (dense, structured, low-rank) unified behind one
+//!   [`engine::SelectionPlan`] currency flowing through one cache and one
+//!   persistent store, every plan kind answered through one release step
+//!   (admit, check the ledger, observe, add Gaussian/Laplace noise from a
+//!   [`mechanism::NoiseBackend`], infer, charge once), and one budgeted
+//!   [`engine::Session`] type — borrowing (`Session<&Engine>`) or owning
+//!   ([`engine::OwnedSession`]) its engine — charging through a pluggable
 //!   [`accounting::Accountant`];
 //! * [`faults`] — deterministic fault injection for the serving stack: a
 //!   seeded [`FaultInjector`] threaded through the strategy store's I/O, the
@@ -35,15 +37,12 @@
 //!   exact failure schedules;
 //! * [`accounting`] — privacy accounting: sequential composition (default),
 //!   the advanced (strong) composition bound, and Rényi-DP accounting with
-//!   per-mechanism curves, all behind one object-safe trait;
-//! * [`adaptive`] — the legacy `AdaptiveMechanism` API, now a deprecated
-//!   shim over [`engine::Engine`].
+//!   per-mechanism curves, all behind one object-safe trait.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accounting;
-pub mod adaptive;
 pub mod bounds;
 pub mod design_set;
 pub mod eigen_design;
@@ -62,8 +61,6 @@ pub use accounting::{
     MechanismEvent, MechanismKind, RdpAccountant, RdpAccounting, SequentialAccountant,
     SequentialAccounting, UserLedger, UserLedgerRegistry,
 };
-#[allow(deprecated)]
-pub use adaptive::{AdaptiveAnswer, AdaptiveMechanism, AdaptiveOptions};
 pub use eigen_design::{eigen_design, EigenDesignOptions, EigenDesignResult};
 pub use engine::{
     Engine, EngineAnswer, EngineBuilder, LowRankPlan, OwnedSession, PlanKind, PrivacyBudget,

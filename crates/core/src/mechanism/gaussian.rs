@@ -50,7 +50,7 @@ impl GaussianMechanism {
     ) -> crate::Result<Vec<f64>> {
         let true_answers = queries.matvec(x)?;
         let sigma = self.privacy.gaussian_sigma(l2_sensitivity(queries));
-        // mm-lint: allow(charge-before-noise): one-shot mechanism whose entire cost is the constructor's (epsilon, delta); ledger-tracked callers go through engine::answer_parts
+        // mm-lint: allow(charge-before-noise): one-shot mechanism whose entire cost is the constructor's (epsilon, delta); ledger-tracked callers go through the engine release step (engine::release)
         let noise = gaussian_noise(rng, sigma, true_answers.len());
         Ok(true_answers
             .into_iter()

@@ -34,7 +34,7 @@ impl LaplaceMechanism {
     ) -> crate::Result<Vec<f64>> {
         let true_answers = queries.matvec(x)?;
         let b = self.privacy.laplace_scale(l1_sensitivity(queries));
-        // mm-lint: allow(charge-before-noise): one-shot mechanism whose entire cost is the constructor's epsilon; ledger-tracked callers go through engine::answer_parts
+        // mm-lint: allow(charge-before-noise): one-shot mechanism whose entire cost is the constructor's epsilon; ledger-tracked callers go through the engine release step (engine::release)
         let noise = laplace_noise(rng, b, true_answers.len());
         Ok(true_answers
             .into_iter()

@@ -115,7 +115,7 @@ impl MatrixMechanism {
             .backend
             .noise_scale(&self.privacy, self.backend.sensitivity(&self.strategy));
         let mut y = a.matvec(x)?;
-        // mm-lint: allow(charge-before-noise): one-shot mechanism run; its cost is fixed by the constructor's privacy params — the accounted path is engine::answer_parts, which charges the ledger before calling in here
+        // mm-lint: allow(charge-before-noise): one-shot mechanism run; its cost is fixed by the constructor's privacy params — the accounted path is the engine release step (engine::release), which admits the event on the ledger before it draws noise
         let noise = self.backend.sample(rng, scale, y.len());
         for (yi, ni) in y.iter_mut().zip(noise.iter()) {
             *yi += ni;

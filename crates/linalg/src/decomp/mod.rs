@@ -1,28 +1,19 @@
 //! Matrix factorizations.
 //!
 //! * [`cholesky`] — `A = L Lᵀ` for symmetric positive definite matrices; the
-//!   workhorse for inverting strategy gram matrices `AᵀA`.
-//! * [`lu`] — LU with partial pivoting, for general square solves.
-//! * [`qr`] — Householder QR, used for least squares and orthonormalisation.
+//!   workhorse for inverting strategy gram matrices `AᵀA` and for the
+//!   mechanism's least-squares inference step (two triangular solves).
 //! * [`eigen`] — symmetric eigendecomposition (Householder tridiagonalisation
 //!   followed by the implicit-shift QL iteration), the heart of the
 //!   Eigen-Design algorithm which diagonalises `WᵀW`.
-//! * [`svd`] — singular values/vectors obtained through the eigendecomposition
-//!   of the gram matrix, sufficient for the singular value bound of Thm. 2.
 //! * [`subspace`] — truncated symmetric eigendecomposition by block subspace
 //!   iteration with Rayleigh–Ritz extraction, the `O(n²r)` kernel behind the
 //!   Low-Rank Mechanism's subspace selection.
 
 pub mod cholesky;
 pub mod eigen;
-pub mod lu;
-pub mod qr;
 pub mod subspace;
-pub mod svd;
 
 pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
-pub use lu::Lu;
-pub use qr::Qr;
 pub use subspace::TruncatedEigen;
-pub use svd::Svd;

@@ -10,12 +10,12 @@
 //!
 //! * basic matrix/vector arithmetic, [`ops::matmul`], [`ops::gram`],
 //!   [`ops::kron`] (Kronecker products drive multi-dimensional workloads),
-//! * factorizations in [`decomp`]: Cholesky, LU with partial pivoting,
-//!   Householder QR, symmetric eigendecomposition (tridiagonalisation +
-//!   implicit-shift QL) and singular values via the gram matrix,
-//! * high level solves in [`solve`]: linear systems, least squares and the
-//!   Moore–Penrose pseudo-inverse used by the matrix mechanism's inference
-//!   step.
+//! * factorizations in [`decomp`]: Cholesky (with multi-right-hand-side
+//!   triangular solves, the matrix mechanism's least-squares inference step),
+//!   symmetric eigendecomposition (tridiagonalisation + implicit-shift QL)
+//!   and its truncated block-subspace variant,
+//! * the matrix-free [`LinearOperator`] abstraction structured strategies
+//!   answer through.
 //!
 //! The crate is `no-unsafe`, has no dependencies, and every routine is covered
 //! by unit and property tests.
@@ -29,7 +29,6 @@ pub mod matrix;
 pub mod operator;
 pub mod ops;
 pub mod parallel;
-pub mod solve;
 pub mod vector;
 
 pub use error::{LinalgError, Result};

@@ -169,7 +169,8 @@ impl<R: ServeRequest> ServeFuture<R> {
         }
     }
 
-    /// A future rejected at submit time (NaN gram, no budget headroom).
+    /// A future rejected at submit time (malformed input, NaN gram, no budget
+    /// headroom).
     pub(crate) fn failed(inner: Arc<Inner>, request: R, error: ServeError) -> Self {
         ServeFuture {
             inner,
@@ -476,7 +477,8 @@ impl<W: Workload + Send + Sync + ?Sized + 'static> BatchFuture<W> {
         }
     }
 
-    /// A future rejected at submit time (NaN gram, no budget headroom).
+    /// A future rejected at submit time (malformed input, NaN gram, no budget
+    /// headroom).
     pub(crate) fn failed(inner: Arc<Inner>, workload: Arc<W>, error: ServeError) -> Self {
         BatchFuture {
             fut: ServeFuture::failed(
@@ -558,7 +560,7 @@ impl<W: StructuredWorkload + Send + Sync + ?Sized + 'static> StructuredFuture<W>
         }
     }
 
-    /// A future rejected at submit time (no budget headroom).
+    /// A future rejected at submit time (malformed input, no budget headroom).
     pub(crate) fn failed(inner: Arc<Inner>, workload: Arc<W>, error: ServeError) -> Self {
         StructuredFuture {
             fut: ServeFuture::failed(

@@ -18,10 +18,10 @@
 //!   [`join_all`].
 //! * **Bounded admission.** The selection queue is bounded; when it is full,
 //!   new cold-workload requests fail fast with [`ServeError::Overloaded`]
-//!   instead of queueing without limit.  Requests charged to a
-//!   [`UserLedger`] are additionally probed against the principal's shared
-//!   budget headroom at submit time, so a spent budget rejects before any
-//!   work is queued.
+//!   instead of queueing without limit.  Every request first passes the
+//!   engine's admission gate ([`Engine::admit`]) at submit time: malformed
+//!   input, and for requests charged to a [`UserLedger`] a spent shared
+//!   budget, reject before any key is derived or work queued.
 //! * **Typed failure.** A selection job that returns an error or panics
 //!   poisons only that flight: every waiter receives a typed
 //!   [`MechanismError::PoisonedSelection`] / the selector's error, and the
@@ -189,7 +189,8 @@ pub struct ServeStats {
     pub failed: u64,
     /// Requests shed with [`ServeError::Overloaded`] (queue full).
     pub shed: u64,
-    /// Requests rejected at submit time (budget headroom, NaN gram).
+    /// Requests rejected at submit time (malformed input, budget headroom,
+    /// NaN gram).
     pub rejected: u64,
     /// Selection jobs enqueued on the worker pool — with waker-based
     /// deduplication this stays at one per distinct cold fingerprint no
@@ -220,8 +221,8 @@ pub struct ServeHealth {
     pub pending_selections: usize,
     /// Requests shed with [`ServeError::Overloaded`] since construction.
     pub shed: u64,
-    /// Requests rejected at submit (budget headroom, NaN gram) since
-    /// construction.
+    /// Requests rejected at submit (malformed input, budget headroom, NaN
+    /// gram) since construction.
     pub rejected: u64,
     /// Requests that resolved [`ServeError::DeadlineExceeded`].
     pub deadline_expired: u64,
@@ -648,6 +649,30 @@ impl ServeEngine {
         self.submit_structured(workload, x, seed, Some(ledger.clone()))
     }
 
+    /// The engine's admission gate ([`Engine::admit`]) at submit time,
+    /// before a key is derived or any work is queued: malformed input (a
+    /// data vector of the wrong length, a workload without queries) and a
+    /// spent principal budget fail fast here, counted in
+    /// [`ServeStats::rejected`].  The budget probe uses unit sensitivity
+    /// (the strategy is not selected yet); the release itself re-checks and
+    /// charges the event with the actual sensitivity, so this is an
+    /// admission filter, never the enforcement point.
+    fn admit<W: Workload + ?Sized, X: AsRef<[f64]>>(
+        &self,
+        workload: &W,
+        xs: &[X],
+        ledger: Option<&UserLedger>,
+    ) -> Result<(), ServeError> {
+        let engine = &self.inner.engine;
+        let accountant = ledger.map(UserLedger::accountant_handle);
+        engine
+            .admit(workload, xs, engine.privacy(), accountant.as_deref())
+            .map_err(|e| {
+                self.inner.rejected.fetch_add(1, Ordering::Relaxed);
+                e.into()
+            })
+    }
+
     fn submit_structured<W>(
         &self,
         workload: Arc<W>,
@@ -660,15 +685,10 @@ impl ServeEngine {
     {
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         self.inner.structured.fetch_add(1, Ordering::Relaxed);
-        // Same admission filter as the dense path — but no gram is ever
-        // computed or hashed: the structured descriptor is the identity.
-        if let Some(ledger) = &ledger {
-            let engine = &self.inner.engine;
-            let probe = engine.backend().mechanism_event(engine.privacy(), 1.0);
-            if let Err(e) = ledger.check_event_many(&probe, 1) {
-                self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                return StructuredFuture::failed(self.inner.clone(), workload, e.into());
-            }
+        // Same admission as the dense path — but no gram is ever computed
+        // or hashed: the structured descriptor is the identity.
+        if let Err(e) = self.admit(&*workload, &[&x], ledger.as_ref()) {
+            return StructuredFuture::failed(self.inner.clone(), workload, e);
         }
         StructuredFuture::new(self.inner.clone(), workload, x, seed, ledger)
     }
@@ -684,6 +704,9 @@ impl ServeEngine {
         W: Workload + Send + Sync + ?Sized + 'static,
     {
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = self.admit(&*workload, &xs, ledger.as_ref()) {
+            return BatchFuture::failed(self.inner.clone(), workload, e);
+        }
         // The fingerprint is the dedup key for waker registration; a NaN
         // gram is rejected here, before anything is queued or charged.  The
         // base fingerprint is mixed through the engine's plan keying so a
@@ -701,19 +724,6 @@ impl ServeEngine {
                 );
             }
         };
-        // Admission against the principal's *shared* headroom: a spent
-        // budget fails fast at submit.  The probe uses unit sensitivity (the
-        // strategy is not selected yet); the release itself re-checks and
-        // charges the event with the actual sensitivity, so this is an
-        // admission filter, never the enforcement point.
-        if let Some(ledger) = &ledger {
-            let engine = &self.inner.engine;
-            let probe = engine.backend().mechanism_event(engine.privacy(), 1.0);
-            if let Err(e) = ledger.check_event_many(&probe, xs.len()) {
-                self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                return BatchFuture::failed(self.inner.clone(), workload, e.into());
-            }
-        }
         BatchFuture::new(self.inner.clone(), workload, xs, seed, ledger, fp)
     }
 }
@@ -1065,6 +1075,22 @@ mod tests {
         let stats = serve.stats();
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.selection_jobs, 0);
+    }
+
+    #[test]
+    fn malformed_input_is_rejected_before_queueing() {
+        let engine = Arc::new(Engine::builder().build().unwrap());
+        let serve = ServeEngine::builder(engine.clone()).build();
+        match block_on(serve.answer(workload(64), vec![1.0; 8], 1)) {
+            Err(ServeError::Mechanism(e)) => {
+                assert!(matches!(&*e, MechanismError::InvalidArgument(_)), "{e}");
+            }
+            other => panic!("expected invalid-argument rejection, got {other:?}"),
+        }
+        let stats = serve.stats();
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.selection_jobs, 0);
+        assert_eq!(engine.stats().cache_misses, 0);
     }
 
     /// Every `ServeError` variant: Display round-trips its key facts,

@@ -157,7 +157,7 @@ fn rdp_session_answers_strictly_more_queries_at_the_same_budget() {
     let w = IdentityWorkload::new(8);
     let x = vec![10.0; 8];
 
-    let count_answers = |mut session: adaptive_dp::core::Session<'_>, seed: u64| {
+    let count_answers = |mut session: adaptive_dp::core::Session<&Engine>, seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut n = 0usize;
         while n < 10_000 {

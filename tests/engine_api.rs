@@ -514,3 +514,50 @@ fn error_variants_display() {
         .unwrap_err();
     assert!(e.to_string().contains("incompatible noise backend"));
 }
+
+/// An exhausted session rejects a cold workload in O(1), before any key
+/// derivation or selection — through a session-private ledger and through
+/// a principal's shared `UserLedger` alike, on the dense and the structured
+/// path.
+#[test]
+fn exhausted_sessions_reject_cold_workloads_without_selecting() {
+    use adaptive_dp::core::accounting::UserLedger;
+    use adaptive_dp::workload::RangeQueryWorkload;
+
+    let engine = Arc::new(Engine::new(PrivacyParams::paper_default()));
+    let w = range_workload(64);
+    let x = vec![1.0; 64];
+    let intervals = RangeQueryWorkload::prefixes(64);
+    let mut rng = StdRng::seed_from_u64(50);
+    let spent = PrivacyBudget::new(0.0, 0.0);
+
+    let mut session = engine.session(spent);
+    let mut shared = engine.user_session(&UserLedger::new("erin", spent));
+    for err in [
+        session.answer(&w, &x, &mut rng).unwrap_err(),
+        shared.answer(&w, &x, &mut rng).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, MechanismError::BudgetExhausted { .. }),
+            "{err}"
+        );
+    }
+    for err in [
+        session
+            .answer_structured(&intervals, &x, &mut rng)
+            .unwrap_err(),
+        shared
+            .answer_structured(&intervals, &x, &mut rng)
+            .unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, MechanismError::BudgetExhausted { .. }),
+            "{err}"
+        );
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.selections, 0);
+    assert_eq!(stats.cache_misses, 0);
+    assert_eq!(stats.structured_selections, 0);
+    assert_eq!(stats.structured_cache_misses, 0);
+}

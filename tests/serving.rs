@@ -9,6 +9,7 @@ use adaptive_dp::core::engine::{
     PLAN_STORE_VERSION,
 };
 use adaptive_dp::core::{MechanismError, PrivacyParams};
+use adaptive_dp::serve::{block_on, ServeEngine, ServeError};
 use adaptive_dp::strategies::Strategy;
 use adaptive_dp::workload::range::AllRangeWorkload;
 use adaptive_dp::workload::Domain;
@@ -657,4 +658,68 @@ fn poisoned_flight_stampede_fails_typed_and_recovers() {
         "poisoned flight must be retryable: {retry:?}"
     );
     assert_eq!(serve.stats().completed, 1);
+}
+
+/// `ServeEngine::answer_batch_for` charges a principal's shared ledger once
+/// per vector, rejects a batch that does not fit at submit time without
+/// touching the ledger, and answers bit-identically to a direct
+/// `user_session(..).answer_batch(..)` at the same seed.
+#[test]
+fn served_batches_charge_a_shared_ledger_once_per_vector() {
+    let engine = Arc::new(
+        Engine::builder()
+            .privacy(PrivacyParams::paper_default())
+            .build()
+            .expect("engine builds"),
+    );
+    let serve = ServeEngine::builder(engine.clone()).build();
+    let workload = Arc::new(AllRangeWorkload::new(Domain::one_dim(16)));
+    let xs: Vec<Vec<f64>> = (0..3)
+        .map(|k| (0..16).map(|i| (k * 16 + i) as f64).collect())
+        .collect();
+    let per_answer = *engine.privacy();
+    // Headroom for four answers: the first batch of three fits, a second
+    // one does not.
+    let budget = PrivacyBudget::new(per_answer.epsilon * 4.5, (per_answer.delta * 4.5).min(0.5));
+
+    let ledger = UserLedger::new("frank", budget);
+    let served = block_on(serve.answer_batch_for(&ledger, workload.clone(), xs.clone(), 7))
+        .expect("the first batch fits");
+    assert_eq!(served.len(), 3);
+    assert_eq!(ledger.events().len(), 3, "one charge per vector");
+
+    let before = serve.stats();
+    let spent = ledger.spent();
+    match block_on(serve.answer_batch_for(&ledger, workload.clone(), xs.clone(), 8)) {
+        Err(ServeError::Mechanism(e)) => {
+            assert!(matches!(&*e, MechanismError::BudgetExhausted { .. }), "{e}");
+        }
+        other => panic!("expected a budget rejection, got {other:?}"),
+    }
+    let after = serve.stats();
+    assert_eq!(after.rejected, before.rejected + 1);
+    assert_eq!(after.selection_jobs, before.selection_jobs);
+    assert_eq!(
+        ledger.events().len(),
+        3,
+        "the rejected batch charged nothing"
+    );
+    assert_eq!(ledger.spent(), spent);
+
+    let direct_ledger = UserLedger::new("frank-direct", budget);
+    let mut rng = StdRng::seed_from_u64(7);
+    let direct = engine
+        .user_session(&direct_ledger)
+        .answer_batch(&*workload, &xs, &mut rng)
+        .expect("direct batch");
+    assert_eq!(direct_ledger.events().len(), 3);
+    assert_eq!(served.len(), direct.len());
+    for (s, d) in served.iter().zip(&direct) {
+        for (a, b) in s.answers.iter().zip(&d.answers) {
+            assert_eq!(a.to_bits(), b.to_bits(), "served answer bits");
+        }
+        for (a, b) in s.estimate.iter().zip(&d.estimate) {
+            assert_eq!(a.to_bits(), b.to_bits(), "served estimate bits");
+        }
+    }
 }
