@@ -135,9 +135,9 @@ pub const ALLOWLIST: &[AllowEntry] = &[
     AllowEntry {
         rule: "determinism-hygiene",
         path_suffix: "crates/core/src/engine/store/mod.rs",
-        function: Some("len"),
-        reason: "read_dir used only to count persisted entries; a count is \
-                 order-independent",
+        function: Some("fingerprints"),
+        reason: "the store's one directory scan: read_dir results are collected into an \
+                 ordered set, so directory order never reaches a caller",
     },
 ];
 

@@ -197,8 +197,8 @@ pub struct StoreHealth {
     /// Corrupt store entries silently dropped (deleted and recomputed)
     /// since the store was opened.
     pub corrupt_dropped: u64,
-    /// Store save attempts that failed (after retries) since the engine
-    /// was built.
+    /// Store save attempts that failed since the engine was built (each
+    /// attempt of a bounded-retry save counts).
     pub save_failures: u64,
 }
 

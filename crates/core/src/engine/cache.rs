@@ -27,27 +27,18 @@
 //!
 //! # Eviction
 //!
-//! Eviction is per shard and governed by an [`EvictionPolicy`]:
-//!
-//! * [`EvictionPolicy::Lru`] (default) — every `get` refreshes the entry's
-//!   recency stamp, and an insert into a full shard evicts the entry with
-//!   the oldest stamp.  A frequently served workload therefore stays
-//!   resident under a churning stream of cold workloads (the FIFO policy
-//!   this replaces evicted hot and cold entries alike).
-//! * [`EvictionPolicy::CostAware`] — selection wall-time is very non-uniform
-//!   across workloads (an eigen-design selection at n = 1024 costs seconds;
-//!   a tiny workload selects in microseconds), so each entry carries its
-//!   measured selection cost and the shard evicts the entry with the lowest
-//!   recency×cost score `cost / (age + 1)`: cheap-to-rebuild entries churn
-//!   first, and an expensive entry survives a stream of cheap insertions
-//!   even once its recency has decayed.
+//! Eviction is per-shard LRU: every `get` refreshes the entry's recency
+//! stamp, and an insert into a full shard evicts the entry with the oldest
+//! stamp.  A frequently served workload therefore stays resident under a
+//! churning stream of cold workloads (the FIFO policy this replaces evicted
+//! hot and cold entries alike).
 //!
 //! The configured capacity is a total across shards: the per-shard bounds
 //! sum to exactly the total, so the cache never holds more entries than
 //! configured, but with more than one shard the split is approximate in use
 //! — a skewed fingerprint distribution can evict from a full shard while
-//! another has room.  Size the capacity to the working set, the shard count
-//! to the expected parallelism, and the policy to the workload mix (all
+//! another has room.  Size the capacity to the working set and the shard
+//! count to the expected parallelism (both
 //! [`EngineBuilder`](crate::engine::EngineBuilder) knobs).
 
 use super::plan::SelectionPlan;
@@ -61,34 +52,15 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 /// Default number of independently locked cache shards.
 pub const DEFAULT_SHARD_COUNT: usize = 8;
 
-/// How a full cache shard picks its eviction victim (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict the least recently used entry.
-    #[default]
-    Lru,
-    /// Evict the entry with the lowest recency×cost score
-    /// `selection_cost_ns / (age + 1)`, protecting entries that were
-    /// expensive to select.
-    CostAware,
-}
-
 /// A cached selection: the strategy plus two lazily computed, data- and
 /// privacy-independent derived quantities — the Cholesky factor of the
 /// strategy gram (used by least-squares inference) and the Prop. 4 trace term
 /// `trace(WᵀW (AᵀA)⁻¹)` against the workload the entry was selected for.
 /// Both are O(n³); caching them makes a cache-hit `answer` skip *all*
 /// repeated cubic work and pay only the O(n²) mechanism run.
-///
-/// The entry also records the measured wall-time of the selection that
-/// produced it, which the [`EvictionPolicy::CostAware`] policy uses to
-/// protect expensive entries.
 #[derive(Debug)]
 pub struct CachedSelection {
     strategy: Arc<Strategy>,
-    /// Measured wall-time of the selection that produced this entry, in
-    /// nanoseconds (0 when unknown, e.g. caller-provided strategies).
-    selection_cost_ns: u64,
     factor: OnceLock<Arc<Cholesky>>,
     trace: OnceLock<f64>,
 }
@@ -97,15 +69,8 @@ impl CachedSelection {
     /// Wraps a selected strategy (derived quantities are computed on first
     /// use).
     pub fn new(strategy: Arc<Strategy>) -> Self {
-        Self::with_cost(strategy, 0)
-    }
-
-    /// Wraps a selected strategy together with the measured wall-time of the
-    /// selection that produced it.
-    pub fn with_cost(strategy: Arc<Strategy>, selection_cost_ns: u64) -> Self {
         CachedSelection {
             strategy,
-            selection_cost_ns,
             factor: OnceLock::new(),
             trace: OnceLock::new(),
         }
@@ -115,23 +80,13 @@ impl CachedSelection {
     /// run (e.g. loaded from a persistent strategy store): the Cholesky
     /// factor and Prop. 4 trace term are pre-seeded rather than recomputed,
     /// keeping answers bit-identical to the run that produced them.
-    pub fn with_parts(
-        strategy: Arc<Strategy>,
-        selection_cost_ns: u64,
-        factor: Arc<Cholesky>,
-        trace: f64,
-    ) -> Self {
-        let entry = CachedSelection::with_cost(strategy, selection_cost_ns);
+    pub fn with_parts(strategy: Arc<Strategy>, factor: Arc<Cholesky>, trace: f64) -> Self {
+        let entry = CachedSelection::new(strategy);
         // Freshly constructed above: the OnceLock cells are necessarily
         // empty, so these sets cannot fail.
         let _ = entry.factor.set(factor);
         let _ = entry.trace.set(trace);
         entry
-    }
-
-    /// The measured selection wall-time in nanoseconds (0 when unknown).
-    pub fn selection_cost_ns(&self) -> u64 {
-        self.selection_cost_ns
     }
 
     /// The selected strategy.
@@ -273,7 +228,7 @@ impl ShardInner {
         })
     }
 
-    /// Inserts, evicting entries per the shard's policy to stay within
+    /// Inserts, evicting least-recently-used entries to stay within
     /// `capacity`, and returns the entry now cached for the fingerprint: an
     /// earlier insert wins a race between two concurrent selections, keeping
     /// results stable.
@@ -282,51 +237,21 @@ impl ShardInner {
         fp: Fingerprint,
         selection: Arc<SelectionPlan>,
         capacity: usize,
-        policy: EvictionPolicy,
     ) -> Arc<SelectionPlan> {
         if let Some(existing) = self.map.get(&fp) {
             return existing.selection.clone();
         }
         while self.map.len() >= capacity {
-            // Pick the victim by policy (shard capacities are small, so the
-            // linear scan is cheaper than an intrusive list).
-            let tick = self.tick;
-            // Both scans impose a *total* order — stamp resp. score, with
-            // the fingerprint as tie-break — so the chosen victim is a pure
-            // function of the entries, not of HashMap iteration order.
-            // (Regression: cost-aware scores can collide across different
-            // (cost, age) pairs, and with ties left to hash order the
-            // warm-restart eviction state diverged between processes.)
-            let victim = match policy {
-                // Least recently used.
-                EvictionPolicy::Lru => self
-                    .map
-                    // mm-lint: allow(determinism-hygiene): full scan under a total order (stamp, then fingerprint) — result independent of hash iteration order
-                    .iter()
-                    .min_by_key(|(fp, e)| (e.last_used, fp.0))
-                    .map(|(fp, _)| *fp),
-                // Lowest recency×cost score: `cost / (age + 1)` decays with
-                // the entry's idle time, so a cheap recent entry outranks a
-                // cheap old one, while a genuinely expensive entry keeps a
-                // high score long after its last use.
-                EvictionPolicy::CostAware => self
-                    .map
-                    // mm-lint: allow(determinism-hygiene): full scan under a total order (score, then fingerprint) — result independent of hash iteration order
-                    .iter()
-                    .min_by(|(fp_a, a), (fp_b, b)| {
-                        let score = |e: &CacheEntry| {
-                            let age = tick.saturating_sub(e.last_used) as f64;
-                            // +1 in f64: the cost may be the u64::MAX
-                            // "unmeasurable" sentinel, which must not wrap.
-                            (e.selection.selection_cost_ns() as f64 + 1.0) / (age + 1.0)
-                        };
-                        score(a)
-                            .partial_cmp(&score(b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then_with(|| fp_a.0.cmp(&fp_b.0))
-                    })
-                    .map(|(fp, _)| *fp),
-            };
+            // Shard capacities are small, so a linear scan is cheaper than an
+            // intrusive list.  The scan imposes a *total* order — stamp, then
+            // fingerprint — so the victim is a pure function of the entries,
+            // not of HashMap iteration order.
+            let victim = self
+                .map
+                // mm-lint: allow(determinism-hygiene): full scan under a total order (stamp, then fingerprint) — result independent of hash iteration order
+                .iter()
+                .min_by_key(|(fp, e)| (e.last_used, fp.0))
+                .map(|(fp, _)| *fp);
             let Some(victim) = victim else {
                 break;
             };
@@ -392,7 +317,7 @@ impl SelectionGuard<'_> {
         let shard = self.cache.shard(self.fp);
         let winner = {
             let mut inner = shard.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            let winner = inner.insert(self.fp, selection, shard.capacity, self.cache.policy);
+            let winner = inner.insert(self.fp, selection, shard.capacity);
             inner.in_flight.remove(&self.fp);
             winner
         };
@@ -438,12 +363,11 @@ impl Drop for SelectionGuard<'_> {
 }
 
 /// A bounded, sharded map from workload fingerprints to selected
-/// [`SelectionPlan`]s with single-flight selection and a pluggable eviction
-/// policy (see the module docs).
+/// [`SelectionPlan`]s with single-flight selection and per-shard LRU
+/// eviction (see the module docs).
 #[derive(Debug)]
 pub struct StrategyCache {
     capacity: usize,
-    policy: EvictionPolicy,
     shards: Box<[Shard]>,
     shard_mask: usize,
 }
@@ -455,18 +379,12 @@ impl StrategyCache {
         StrategyCache::with_shards(capacity, DEFAULT_SHARD_COUNT)
     }
 
-    /// Creates a cache with an explicit shard count and LRU eviction; see
-    /// [`StrategyCache::with_shards_and_policy`].
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        StrategyCache::with_shards_and_policy(capacity, shards, EvictionPolicy::Lru)
-    }
-
     /// Creates a cache with an explicit shard count (rounded up to a power
     /// of two, then halved until it does not exceed the capacity, so every
-    /// shard holds at least one entry) and eviction policy.  The capacity is
-    /// split across shards with the remainder spread one-per-shard, so the
-    /// shard capacities sum to exactly the configured total.
-    pub fn with_shards_and_policy(capacity: usize, shards: usize, policy: EvictionPolicy) -> Self {
+    /// shard holds at least one entry).  The capacity is split across
+    /// shards with the remainder spread one-per-shard, so the shard
+    /// capacities sum to exactly the configured total.
+    pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let mut count = shards.max(1).next_power_of_two();
         while count > 1 && count > capacity {
             count /= 2;
@@ -474,7 +392,6 @@ impl StrategyCache {
         let (base, remainder) = (capacity / count, capacity % count);
         StrategyCache {
             capacity,
-            policy,
             shards: (0..count)
                 .map(|i| Shard {
                     capacity: base + usize::from(i < remainder),
@@ -488,11 +405,6 @@ impl StrategyCache {
     /// The configured total capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The configured eviction policy.
-    pub fn eviction_policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// The number of shards.
@@ -572,7 +484,7 @@ impl StrategyCache {
         }
         let shard = self.shard(fp);
         let mut inner = shard.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.insert(fp, selection, shard.capacity, self.policy)
+        inner.insert(fp, selection, shard.capacity)
     }
 
     /// Number of cached strategies (across all shards).
@@ -672,63 +584,6 @@ mod tests {
             cache.insert(fp(cold), entry(4));
         }
         assert!(Arc::ptr_eq(&cache.get(fp(0)).unwrap(), &hot));
-    }
-
-    fn costed(n: usize, cost_ns: u64) -> Arc<SelectionPlan> {
-        Arc::new(SelectionPlan::Dense(Arc::new(CachedSelection::with_cost(
-            Arc::new(identity_strategy(n)),
-            cost_ns,
-        ))))
-    }
-
-    #[test]
-    fn cost_aware_eviction_protects_expensive_entries() {
-        // An entry that took 50 ms to select must survive a churning stream
-        // of microsecond-cheap selections that overflows the shard many
-        // times over, even though it is never touched again — exactly the
-        // scenario recency-only LRU gets wrong.
-        let cache = StrategyCache::with_shards_and_policy(4, 1, EvictionPolicy::CostAware);
-        assert_eq!(cache.eviction_policy(), EvictionPolicy::CostAware);
-        let expensive = costed(4, 50_000_000);
-        cache.insert(fp(0), expensive.clone());
-        for cold in 1..=100u64 {
-            cache.insert(fp(cold), costed(4, 5_000));
-            assert!(
-                cache.len() <= cache.capacity(),
-                "capacity respected under cost-aware eviction"
-            );
-        }
-        let got = cache.get(fp(0)).expect("expensive entry survived churn");
-        assert!(Arc::ptr_eq(&got, &expensive));
-
-        // Under plain LRU the same stream evicts the expensive entry.
-        let lru = single_shard(4);
-        lru.insert(fp(0), costed(4, 50_000_000));
-        for cold in 1..=100u64 {
-            lru.insert(fp(cold), costed(4, 5_000));
-        }
-        assert!(lru.get(fp(0)).is_none(), "LRU evicts by recency alone");
-    }
-
-    #[test]
-    fn cost_aware_eviction_still_churns_cheap_entries_by_recency() {
-        // Among equal costs the policy degrades to recency: the untouched
-        // cheap entry goes first, the refreshed one stays.
-        let cache = StrategyCache::with_shards_and_policy(2, 1, EvictionPolicy::CostAware);
-        cache.insert(fp(1), costed(4, 1_000));
-        cache.insert(fp(2), costed(4, 1_000));
-        assert!(cache.get(fp(2)).is_some()); // refresh 2; 1 is now older
-        cache.insert(fp(3), costed(4, 1_000));
-        assert!(cache.get(fp(1)).is_none(), "older equal-cost entry evicted");
-        assert!(cache.get(fp(2)).is_some());
-        assert!(cache.get(fp(3)).is_some());
-    }
-
-    #[test]
-    fn selection_cost_defaults_to_zero() {
-        let e = entry(4);
-        assert_eq!(e.selection_cost_ns(), 0);
-        assert_eq!(costed(4, 7).selection_cost_ns(), 7);
     }
 
     #[test]
@@ -934,9 +789,7 @@ mod tests {
         let factor = fresh.factor().unwrap();
         let gram = mm_linalg::Matrix::identity(5);
         let trace = fresh.trace_term(&gram).unwrap();
-        let rebuilt =
-            CachedSelection::with_parts(fresh.strategy().clone(), 123, factor.clone(), trace);
-        assert_eq!(rebuilt.selection_cost_ns(), 123);
+        let rebuilt = CachedSelection::with_parts(fresh.strategy().clone(), factor.clone(), trace);
         // Pre-seeded: the very same factor Arc comes back, no recompute.
         assert!(Arc::ptr_eq(&rebuilt.factor().unwrap(), &factor));
         assert_eq!(

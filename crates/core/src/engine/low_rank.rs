@@ -48,11 +48,6 @@ pub(crate) fn select_low_rank(
     rank: usize,
     opts: &EigenDesignOptions,
 ) -> crate::Result<LowRankPlan> {
-    // Selection wall-time is metadata for cost-aware eviction, never an
-    // input to any numeric result.
-    // mm-lint: allow(determinism-hygiene): measured cost is cache metadata only
-    let started = std::time::Instant::now();
-
     let n = gram.rows();
     let trunc = TruncatedEigen::new(gram, rank)?;
     let (ritz_raw, basis_full) = trunc.into_parts();
@@ -134,8 +129,7 @@ pub(crate) fn select_low_rank(
         designed.strategy.rows(),
     );
 
-    let cost_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let selection = CachedSelection::with_cost(Arc::new(strategy), cost_ns);
+    let selection = CachedSelection::new(Arc::new(strategy));
     // Materialise the factor and trace term now: the answer path and the
     // store both need them, and failing here (singular subspace design)
     // surfaces as a selection error instead of a late store/answer error.

@@ -78,6 +78,7 @@
 
 pub mod breaker;
 pub mod cache;
+mod lookup;
 mod low_rank;
 pub mod plan;
 mod release;
@@ -90,8 +91,7 @@ pub use breaker::{
     BreakerState, StoreBreaker, StoreHealth, DEFAULT_BREAKER_COOLDOWN, DEFAULT_BREAKER_THRESHOLD,
 };
 pub use cache::{
-    CachedSelection, EvictionPolicy, FlightPoison, Lookup, SelectionGuard, StrategyCache,
-    DEFAULT_SHARD_COUNT,
+    CachedSelection, FlightPoison, Lookup, SelectionGuard, StrategyCache, DEFAULT_SHARD_COUNT,
 };
 pub use plan::{LowRankPlan, PlanKind, SelectionPlan};
 pub use selector::{
@@ -99,10 +99,7 @@ pub use selector::{
     MatrixDesignSelector, PureDpSelector, SelectionContext, StrategySelector,
 };
 pub use session::{BudgetLedger, OwnedSession, PrivacyBudget, Session};
-pub use store::{
-    SaveOutcome, StrategyStore, OPERATOR_STORE_VERSION, PLAN_STORE_EXTENSION, PLAN_STORE_VERSION,
-    STORE_VERSION,
-};
+pub use store::{SaveOutcome, StrategyStore, PLAN_STORE_EXTENSION, PLAN_STORE_VERSION};
 pub use structured::{
     FixedStructuredSelector, StructuredAnswer, StructuredSelector, TreeStructuredSelector,
 };
@@ -110,10 +107,11 @@ pub use structured::{
 use crate::accounting::{Accountant, AccountantFactory, SequentialAccounting};
 use crate::eigen_design::EigenDesignOptions;
 use crate::error::predicted_rms_error;
-use crate::faults::{Fault, FaultInjector, FaultSite, NoFaults};
+use crate::faults::{FaultInjector, NoFaults};
 use crate::mechanism::backend::{default_backend, NoiseBackend};
 use crate::privacy::PrivacyParams;
 use crate::MechanismError;
+use lookup::FrontStats;
 use mm_linalg::Matrix;
 use mm_strategies::Strategy;
 use mm_workload::{try_gram_fingerprint, Fingerprint, Workload};
@@ -143,7 +141,6 @@ pub struct EngineBuilder {
     accountant: Option<Arc<dyn AccountantFactory>>,
     cache_capacity: usize,
     cache_shards: usize,
-    eviction_policy: EvictionPolicy,
     strategy_store: Option<PathBuf>,
     structured_selector: Option<Arc<dyn StructuredSelector>>,
     low_rank: Option<usize>,
@@ -214,15 +211,6 @@ impl EngineBuilder {
     /// LRU order.
     pub fn cache_shards(mut self, shards: usize) -> Self {
         self.cache_shards = shards;
-        self
-    }
-
-    /// Sets how a full cache shard picks its eviction victim (default:
-    /// [`EvictionPolicy::Lru`]).  [`EvictionPolicy::CostAware`] weights
-    /// recency by each entry's measured selection wall-time, protecting
-    /// expensive selections from being churned out by cheap ones.
-    pub fn eviction_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.eviction_policy = policy;
         self
     }
 
@@ -313,20 +301,15 @@ impl EngineBuilder {
                 "low-rank rank must be at least 1".into(),
             ));
         }
-        let cache = StrategyCache::with_shards_and_policy(
-            self.cache_capacity,
-            self.cache_shards,
-            self.eviction_policy,
-        );
+        let cache = StrategyCache::with_shards(self.cache_capacity, self.cache_shards);
         let faults: Arc<dyn FaultInjector> =
             self.fault_injector.unwrap_or_else(|| Arc::new(NoFaults));
         let store = match self.strategy_store {
             Some(dir) => {
                 let store = StrategyStore::open(dir)?.with_injector(faults.clone());
                 // Warm restart: fill the cache from disk up to its capacity —
-                // every plan kind, unified and legacy formats alike (corrupt
-                // entries are skipped and cleared; they will be recomputed
-                // and rewritten on first use).
+                // every plan kind (corrupt entries are skipped and cleared;
+                // they will be recomputed and rewritten on first use).
                 store.warm(&cache, cache.capacity());
                 Some(store)
             }
@@ -353,20 +336,13 @@ impl EngineBuilder {
             low_rank: self.low_rank,
             faults,
             breaker,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            selections: AtomicU64::new(0),
+            dense_front: FrontStats::default(),
+            structured_front: FrontStats::default(),
             dense_selections: AtomicU64::new(0),
             low_rank_selections: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-            store_writes: AtomicU64::new(0),
+            structured_selections: AtomicU64::new(0),
             store_save_failures: AtomicU64::new(0),
             poisoned_flights: AtomicU64::new(0),
-            structured_hits: AtomicU64::new(0),
-            structured_misses: AtomicU64::new(0),
-            structured_selections: AtomicU64::new(0),
-            structured_store_hits: AtomicU64::new(0),
-            structured_store_writes: AtomicU64::new(0),
         })
     }
 }
@@ -413,7 +389,7 @@ pub struct EngineStats {
     pub store_corrupt_dropped: u64,
     /// Times a caller became selection leader only because a previous
     /// leader's flight was poisoned (selector error, panic or abandonment) —
-    /// the typed-poison retry path.
+    /// the typed-poison retry path, for any plan kind.
     pub poisoned_flights: u64,
     /// Structured (matrix-free) calls served from the structured cache.
     pub structured_cache_hits: u64,
@@ -472,20 +448,16 @@ pub struct Engine {
     /// Store circuit breaker: gates all store traffic, driven by save
     /// outcomes (see [`breaker`]).
     breaker: StoreBreaker,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    selections: AtomicU64,
+    /// Lookup counters of the dense front (dense and low-rank plans).
+    dense_front: FrontStats,
+    /// Lookup counters of the structured front.
+    structured_front: FrontStats,
+    /// Successful selections per plan kind.
     dense_selections: AtomicU64,
     low_rank_selections: AtomicU64,
-    store_hits: AtomicU64,
-    store_writes: AtomicU64,
+    structured_selections: AtomicU64,
     store_save_failures: AtomicU64,
     poisoned_flights: AtomicU64,
-    structured_hits: AtomicU64,
-    structured_misses: AtomicU64,
-    structured_selections: AtomicU64,
-    structured_store_hits: AtomicU64,
-    structured_store_writes: AtomicU64,
 }
 
 impl Engine {
@@ -498,7 +470,6 @@ impl Engine {
             accountant: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             cache_shards: DEFAULT_SHARD_COUNT,
-            eviction_policy: EvictionPolicy::default(),
             strategy_store: None,
             structured_selector: None,
             low_rank: None,
@@ -538,22 +509,26 @@ impl Engine {
 
     /// Cache/selection counters.
     pub fn stats(&self) -> EngineStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let (dense, structured) = (&self.dense_front, &self.structured_front);
+        let dense_selections = load(&self.dense_selections);
+        let low_rank_selections = load(&self.low_rank_selections);
         EngineStats {
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            cache_misses: self.misses.load(Ordering::Relaxed),
-            selections: self.selections.load(Ordering::Relaxed),
-            dense_selections: self.dense_selections.load(Ordering::Relaxed),
-            low_rank_selections: self.low_rank_selections.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
-            store_writes: self.store_writes.load(Ordering::Relaxed),
-            store_save_failures: self.store_save_failures.load(Ordering::Relaxed),
+            cache_hits: load(&dense.hits),
+            cache_misses: load(&dense.misses),
+            selections: dense_selections + low_rank_selections,
+            dense_selections,
+            low_rank_selections,
+            store_hits: load(&dense.store_hits),
+            store_writes: load(&dense.store_writes),
+            store_save_failures: load(&self.store_save_failures),
             store_corrupt_dropped: self.store.as_ref().map_or(0, |s| s.corrupt_dropped()),
-            poisoned_flights: self.poisoned_flights.load(Ordering::Relaxed),
-            structured_cache_hits: self.structured_hits.load(Ordering::Relaxed),
-            structured_cache_misses: self.structured_misses.load(Ordering::Relaxed),
-            structured_selections: self.structured_selections.load(Ordering::Relaxed),
-            structured_store_hits: self.structured_store_hits.load(Ordering::Relaxed),
-            structured_store_writes: self.structured_store_writes.load(Ordering::Relaxed),
+            poisoned_flights: load(&self.poisoned_flights),
+            structured_cache_hits: load(&structured.hits),
+            structured_cache_misses: load(&structured.misses),
+            structured_selections: load(&self.structured_selections),
+            structured_store_hits: load(&structured.store_hits),
+            structured_store_writes: load(&structured.store_writes),
         }
     }
 
@@ -580,59 +555,6 @@ impl Engine {
             corrupt_dropped: self.store.as_ref().map_or(0, |s| s.corrupt_dropped()),
             save_failures: self.store_save_failures.load(Ordering::Relaxed),
         }
-    }
-
-    /// Probes the persistent store for a plan, gated by the circuit
-    /// breaker: an open breaker skips the probe entirely (memory-only
-    /// degradation), so a broken disk cannot stall every cache miss.
-    fn store_probe(&self, fp: Fingerprint) -> Option<Arc<SelectionPlan>> {
-        let store = self.store.as_ref()?;
-        if !self.breaker.allow() {
-            return None;
-        }
-        store.load(fp)
-    }
-
-    /// Persists a plan with bounded retry and exponential backoff
-    /// ([`STORE_SAVE_ATTEMPTS`] attempts, [`STORE_SAVE_BACKOFF`] doubling),
-    /// recording every attempt's outcome on the circuit breaker.  Returns
-    /// whether this call wrote the entry.  An open breaker skips the save
-    /// (the selection stays memory-cached; a later cool-down probe can
-    /// rewrite it — fingerprints are write-once, so nothing is lost).
-    fn persist_plan(
-        &self,
-        fp: Fingerprint,
-        plan: &SelectionPlan,
-        workload_gram: Option<&Matrix>,
-    ) -> bool {
-        let Some(store) = self.store.as_ref() else {
-            return false;
-        };
-        if !self.breaker.allow() {
-            return false;
-        }
-        let mut backoff = STORE_SAVE_BACKOFF;
-        for attempt in 1..=STORE_SAVE_ATTEMPTS {
-            match store.try_save(fp, plan, workload_gram) {
-                SaveOutcome::Written => {
-                    self.breaker.record_success();
-                    return true;
-                }
-                // Not a persistence failure: the entry already exists (or
-                // the plan stays memory-only by design).  No health signal.
-                SaveOutcome::Skipped => return false,
-                SaveOutcome::Failed => {
-                    self.store_save_failures.fetch_add(1, Ordering::Relaxed);
-                    self.breaker.record_failure();
-                    if attempt == STORE_SAVE_ATTEMPTS || !self.breaker.allow() {
-                        return false;
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-            }
-        }
-        false
     }
 
     /// A non-blocking cache probe by fingerprint for any plan kind,
@@ -746,106 +668,36 @@ impl Engine {
         Ok((plan, fp, hit))
     }
 
-    /// Cache lookup / selection over a precomputed gram matrix.  The gram is
-    /// only cloned (into the selection context) on a miss; the hot cache-hit
-    /// path copies nothing.
-    ///
-    /// Selection is single-flight: concurrent misses on one fingerprint run
-    /// the selector exactly once (on the *leader* thread), and every waiter
-    /// receives the leader's entry, counted as a cache hit.  A selection
-    /// error is returned to the leader only; waiters retry (one at a time)
-    /// and errors are never cached.
+    /// The dense front's plan lookup over a precomputed gram matrix (see
+    /// [`Engine::lookup`]): on a miss, the Low-Rank Mechanism when the
+    /// [`EngineBuilder::low_rank`] knob truncates, the dense selector
+    /// otherwise.  The gram is only cloned (into the selection context) on a
+    /// miss; the hot cache-hit path copies nothing.
     fn select_plan<W: Workload + ?Sized>(
         &self,
         workload: &W,
         gram: &Matrix,
         fp: Fingerprint,
     ) -> crate::Result<(Arc<SelectionPlan>, bool)> {
-        match self.cache.begin(fp) {
-            Lookup::Hit(plan) | Lookup::Shared(plan) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok((plan, true))
+        self.lookup(&self.dense_front, fp, Some(gram), &|| {
+            if let Some(rank) = self.low_rank.filter(|&r| r < gram.rows()) {
+                // Eigen-design inside the top-`rank` subspace.  (A
+                // non-truncating rank falls through to the dense selector
+                // below, which keeps full-rank answers bit-identical to a
+                // plain dense engine.)
+                let plan = low_rank::select_low_rank(gram, rank, &EigenDesignOptions::default())?;
+                return Ok(SelectionPlan::LowRank(Arc::new(plan)));
             }
-            Lookup::Miss(guard) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if guard.recovered_poison().is_some() {
-                    // This caller became leader via the waiter-retry path: a
-                    // previous leader's flight was poisoned.
-                    self.poisoned_flights.fetch_add(1, Ordering::Relaxed);
-                }
-                // Before selecting, probe the persistent store: another run
-                // (or process) may have already paid for this fingerprint.
-                // The probe is breaker-gated: an open breaker degrades to
-                // memory-only caching and recomputes instead.
-                if let Some(plan) = self.store_probe(fp) {
-                    self.store_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((guard.publish(plan), true));
-                }
-                // Fault-injection seam for the selection itself: a scheduled
-                // panic crashes the leader exactly like a buggy selector
-                // would (the guard's drop poisons the flight; waiters
-                // observe a typed poison and retry); scheduled latency
-                // models a selection stall, which is what request deadlines
-                // in the serve tier must survive.
-                match self.faults.inject(FaultSite::Selector) {
-                    Some(Fault::Panic) => panic!("injected selector fault (scheduled chaos)"),
-                    Some(Fault::LatencyMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-                    _ => {}
-                }
-                let plan = if let Some(rank) = self.low_rank.filter(|&r| r < gram.rows()) {
-                    // Low-Rank Mechanism: eigen-design inside the top-`rank`
-                    // subspace.  (A non-truncating rank falls through to the
-                    // dense selector below, which keeps full-rank answers
-                    // bit-identical to a plain dense engine.)
-                    match low_rank::select_low_rank(gram, rank, &EigenDesignOptions::default()) {
-                        Ok(lr) => {
-                            self.selections.fetch_add(1, Ordering::Relaxed);
-                            self.low_rank_selections.fetch_add(1, Ordering::Relaxed);
-                            Arc::new(SelectionPlan::LowRank(Arc::new(lr)))
-                        }
-                        Err(e) => {
-                            guard.fail(e.to_string());
-                            return Err(e);
-                        }
-                    }
-                } else {
-                    let ctx = if self.selector.needs_workload_matrix() {
-                        let rows = workload.to_matrix();
-                        SelectionContext::from_gram_and_rows(gram.clone(), rows)
-                    } else {
-                        SelectionContext::from_gram(gram.clone())
-                    };
-                    // On error the flight is failed with the error's message
-                    // so waiters retry knowing why; the selection counters
-                    // move only on success, keeping failed selections out of
-                    // the stats.  Selection wall-time is recorded on the
-                    // entry for the cost-aware eviction policy.
-                    // mm-lint: allow(determinism-hygiene): wall-clock feeds only the advisory eviction-cost metadata, never a released answer or cache key
-                    let started = std::time::Instant::now();
-                    let strategy = match self.selector.select(&ctx) {
-                        Ok(s) => Arc::new(s),
-                        Err(e) => {
-                            guard.fail(e.to_string());
-                            return Err(e);
-                        }
-                    };
-                    let cost_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    self.selections.fetch_add(1, Ordering::Relaxed);
-                    self.dense_selections.fetch_add(1, Ordering::Relaxed);
-                    Arc::new(SelectionPlan::Dense(Arc::new(CachedSelection::with_cost(
-                        strategy, cost_ns,
-                    ))))
-                };
-                // Persist before publishing so a restart racing this
-                // process sees the entry as soon as waiters do.  Failures
-                // are retried with backoff, then absorbed: persistence is
-                // an optimisation, never a correctness dependency.
-                if self.persist_plan(fp, &plan, Some(gram)) {
-                    self.store_writes.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok((guard.publish(plan), false))
-            }
-        }
+            let ctx = if self.selector.needs_workload_matrix() {
+                SelectionContext::from_gram_and_rows(gram.clone(), workload.to_matrix())
+            } else {
+                SelectionContext::from_gram(gram.clone())
+            };
+            let strategy = Arc::new(self.selector.select(&ctx)?);
+            Ok(SelectionPlan::Dense(Arc::new(CachedSelection::new(
+                strategy,
+            ))))
+        })
     }
 
     /// Predicted RMS workload error of answering `workload` with `strategy`
@@ -1093,34 +945,6 @@ mod tests {
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);
         assert_eq!(stats.store_writes, 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cost_aware_engine_protects_expensive_selection_under_churn() {
-        // A single-slot-per-shard engine with cost-aware eviction: the
-        // expensive eigen-design selection of a large workload stays
-        // resident while a churning stream of small (cheap) workloads
-        // passes through, so re-answering the large workload is a cache hit.
-        let engine = Engine::builder()
-            .cache_capacity(3)
-            .cache_shards(1)
-            .eviction_policy(EvictionPolicy::CostAware)
-            .build()
-            .unwrap();
-        let big = AllRangeWorkload::new(Domain::one_dim(96));
-        let (_, _, hit) = engine.select(&big).unwrap();
-        assert!(!hit);
-        for n in 2..10usize {
-            let small = AllRangeWorkload::new(Domain::one_dim(n));
-            engine.select(&small).unwrap();
-        }
-        let (_, _, hit) = engine.select(&big).unwrap();
-        assert!(hit, "expensive selection survived the cheap churn");
-        assert_eq!(
-            engine.stats().selections,
-            1 + 8,
-            "the big workload selected exactly once"
-        );
     }
 
     #[test]

@@ -24,14 +24,6 @@
 //!   the basis, the subspace selection (an ordinary [`CachedSelection`] over
 //!   the `r`-dimensional design) and the truncation bookkeeping needed to
 //!   predict the rank/error trade-off.
-//!
-//! # Eviction cost
-//!
-//! [`SelectionPlan::selection_cost_ns`] is the plan-kind-aware cost the
-//! [`EvictionPolicy::CostAware`](super::EvictionPolicy::CostAware) policy
-//! scores: dense and low-rank plans report their measured selection
-//! wall-time, while structured plans report 0 — they rebuild in O(n log n),
-//! so under cost-aware eviction they churn first, exactly as they should.
 
 use super::cache::CachedSelection;
 use mm_linalg::Matrix;
@@ -80,8 +72,7 @@ pub struct LowRankPlan {
     /// after dropping numerically zero Ritz values).
     basis: Matrix,
     /// The subspace selection: strategy `A_sub` (with end-to-end
-    /// sensitivities), factor and trace term, plus the measured selection
-    /// cost for cost-aware eviction.
+    /// sensitivities), factor and trace term.
     selection: CachedSelection,
     /// The workload gram projected into the subspace, `L̃ G L̃ᵀ` (`r' × r'`)
     /// — the gram the trace term is taken against.
@@ -232,18 +223,6 @@ impl SelectionPlan {
         }
     }
 
-    /// The plan-kind-aware rebuild cost the cost-aware eviction policy
-    /// scores: measured selection wall-time for dense and low-rank plans, 0
-    /// for structured plans (an O(n log n) rebuild — cheap entries churn
-    /// first, by design).
-    pub fn selection_cost_ns(&self) -> u64 {
-        match self {
-            SelectionPlan::Dense(entry) => entry.selection_cost_ns(),
-            SelectionPlan::Structured(_) => 0,
-            SelectionPlan::LowRank(plan) => plan.selection.selection_cost_ns(),
-        }
-    }
-
     /// The dense selection, when this is a dense plan.
     pub fn as_dense(&self) -> Option<&Arc<CachedSelection>> {
         match self {
@@ -277,24 +256,17 @@ mod tests {
 
     #[test]
     fn kinds_and_accessors_dispatch() {
-        let dense = SelectionPlan::Dense(Arc::new(CachedSelection::with_cost(
-            Arc::new(identity_strategy(4)),
-            7_000,
-        )));
+        let dense = SelectionPlan::Dense(Arc::new(CachedSelection::new(Arc::new(
+            identity_strategy(4),
+        ))));
         assert_eq!(dense.kind(), PlanKind::Dense);
         assert_eq!(dense.dim(), 4);
-        assert_eq!(dense.selection_cost_ns(), 7_000);
         assert!(dense.as_dense().is_some());
         assert!(dense.as_structured().is_none() && dense.as_low_rank().is_none());
 
         let structured = SelectionPlan::Structured(Arc::new(haar_strategy(8)));
         assert_eq!(structured.kind(), PlanKind::Structured);
         assert_eq!(structured.dim(), 8);
-        assert_eq!(
-            structured.selection_cost_ns(),
-            0,
-            "structured plans are cheap to rebuild and must churn first"
-        );
         assert!(structured.as_structured().is_some());
         assert!(structured.as_dense().is_none());
 

@@ -30,7 +30,7 @@ use crate::MechanismError;
 use mm_linalg::{LinearOperator, Matrix};
 use mm_opt::{cg_normal_equations, CgOptions};
 use mm_strategies::Strategy;
-use mm_workload::{structured_fingerprint, try_gram_fingerprint, StructuredWorkload, Workload};
+use mm_workload::{try_gram_fingerprint, StructuredWorkload, Workload};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -263,8 +263,7 @@ impl Engine {
         self.admit(workload, &[x], &privacy, accountant)?;
         let n = workload.dim();
         let descriptor = workload.descriptor();
-        let fingerprint = structured_fingerprint(&descriptor);
-        let (strategy, cache_hit) = self.structured_entry(fingerprint, &descriptor)?;
+        let (strategy, fingerprint, cache_hit) = self.select_structured(&descriptor)?;
         if strategy.dim() != n {
             return Err(MechanismError::InvalidArgument(format!(
                 "workload covers {n} cells but the structured strategy covers {}",

@@ -1,13 +1,8 @@
-//! Shared on-disk entry plumbing for every plan kind: FNV-1a integrity
-//! checksums, the little-endian payload codec, the framed entry layout, and
-//! the atomic tmp+rename publish.
+//! On-disk entry plumbing for every plan kind: FNV-1a integrity checksums,
+//! the little-endian payload codec, the framed entry layout, and the atomic
+//! tmp+rename publish.
 //!
-//! The dense `.mmsel` and structured `.mmop` writers used to each carry a
-//! private copy of this logic; the unified `.mmplan` store and both legacy
-//! read paths now all frame and verify entries through this one module, so a
-//! framing fix (or a fuzz finding) lands everywhere at once.
-//!
-//! # Frame layout (shared by all three formats)
+//! # Frame layout
 //!
 //! ```text
 //! magic    8 bytes   format tag

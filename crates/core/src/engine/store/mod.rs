@@ -8,11 +8,11 @@
 //! structured descriptor hash for the matrix-free path) — valid across
 //! processes and machines.  Each store entry records everything the answer
 //! path derives from a selection, pre-seeded on load (Cholesky factor,
-//! Prop. 4 trace term, low-rank basis, selection cost), so a warm restart
-//! answers bit-identically to the run that produced the entry — nothing is
+//! Prop. 4 trace term, low-rank basis), so a warm restart answers
+//! bit-identically to the run that produced the entry — nothing is
 //! refactorized or re-derived.
 //!
-//! # File format (`.mmplan`, version 1)
+//! # File format (`.mmplan`, version 2)
 //!
 //! One file per fingerprint, named `<fingerprint as 16 hex digits>.mmplan`,
 //! framed by the `entry` module (magic, version, fingerprint, length, payload,
@@ -20,7 +20,7 @@
 //!
 //! * `0` **dense** — strategy name, row count, dimension, L2/L1
 //!   sensitivities, optional explicit matrix, strategy gram, Cholesky
-//!   factor `L`, trace term, selection cost (f64 via `to_bits`, all LE).
+//!   factor `L`, trace term (f64 via `to_bits`, all LE).
 //! * `1` **structured** — the encoded
 //!   [`StrategyDescriptor`] (a few bytes; the operator is
 //!   re-instantiated on load).
@@ -28,21 +28,16 @@
 //!   spectral mass, the subspace basis `L̃`, the projected gram `L̃GL̃ᵀ`,
 //!   then the subspace selection in the dense field layout.
 //!
-//! # Migration
-//!
-//! Stores written before the unification hold dense `.mmsel`
-//! (`b"MMSTRAT\n"`) and structured `.mmop` (`b"MMOPDSC\n"`) entries.  Both
-//! stay readable: [`StrategyStore::load`] probes `.mmplan` first, then each
-//! legacy format, and [`StrategyStore::warm`] scans all three extensions.
-//! New entries are only ever written as `.mmplan`; an existing legacy entry
-//! for a fingerprint blocks a rewrite (write-once is per fingerprint, not
-//! per format).
+//! An entry of any other version (version 1 included) fails the frame check
+//! and is dropped and recomputed like any other corrupt entry.
 //!
 //! # Durability and concurrency
 //!
 //! * **Atomic writes.** Entries are written to a temporary file in the same
 //!   directory and `rename`d into place, so readers never observe a partial
-//!   entry under a crashed writer.
+//!   entry under a crashed writer.  Every write gets its own temporary file
+//!   (process id plus a process-wide sequence number), so concurrent
+//!   writers never clobber each other's half-written bytes.
 //! * **Write-once.** A fingerprint identifies its selection input exactly,
 //!   and selection is deterministic, so the first process to write an entry
 //!   wins; later saves for the same fingerprint are skipped.  Concurrent
@@ -71,32 +66,18 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Current unified store format version (bumped on any encoding change;
-/// entries with any other version are treated as corrupt and recomputed).
-pub const PLAN_STORE_VERSION: u32 = 1;
+/// Current store format version (bumped on any encoding change; entries
+/// with any other version are treated as corrupt and recomputed).
+pub const PLAN_STORE_VERSION: u32 = 2;
 
-/// File extension of unified store entries.
+/// File extension of store entries.
 pub const PLAN_STORE_EXTENSION: &str = "mmplan";
 
 const PLAN_MAGIC: [u8; 8] = *b"MMPLAN0\n";
 
-/// Format version of legacy dense `.mmsel` entries (read-only migration
-/// path; new entries are written as `.mmplan`).
-pub const STORE_VERSION: u32 = 1;
-
-/// File extension of legacy dense store entries.
-pub const STORE_EXTENSION: &str = "mmsel";
-
-const LEGACY_DENSE_MAGIC: [u8; 8] = *b"MMSTRAT\n";
-
-/// Format version of legacy structured `.mmop` entries (read-only migration
-/// path; new entries are written as `.mmplan`).
-pub const OPERATOR_STORE_VERSION: u32 = 1;
-
-/// File extension of legacy structured store entries.
-pub const OPERATOR_STORE_EXTENSION: &str = "mmop";
-
-const LEGACY_OPERATOR_MAGIC: [u8; 8] = *b"MMOPDSC\n";
+/// Process-wide sequence number that makes every temporary file name
+/// unique, even for two writers of one fingerprint in one process.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 const KIND_DENSE: u8 = 0;
 const KIND_STRUCTURED: u8 = 1;
@@ -121,7 +102,6 @@ fn encode_dense_fields(out: &mut Vec<u8>, e: &CachedSelection, factor: &Cholesky
     entry::push_matrix(out, strategy.gram());
     entry::push_matrix(out, factor.l());
     entry::push_f64(out, trace);
-    entry::push_u64(out, e.selection_cost_ns());
 }
 
 fn decode_dense_fields(c: &mut Cursor<'_>) -> Option<CachedSelection> {
@@ -139,7 +119,6 @@ fn decode_dense_fields(c: &mut Cursor<'_>) -> Option<CachedSelection> {
     let gram = c.matrix()?;
     let factor_l = c.matrix()?;
     let trace = c.f64()?;
-    let cost_ns = c.u64()?;
     // Validate shapes before `Strategy::from_parts`, whose contract
     // violations are asserts (panics), not parse failures.
     if gram.rows() != dim || !gram.is_square() || dim == 0 {
@@ -160,7 +139,6 @@ fn decode_dense_fields(c: &mut Cursor<'_>) -> Option<CachedSelection> {
     let strategy = Arc::new(Strategy::from_parts(name, matrix, gram, l2, l1, rows));
     Some(CachedSelection::with_parts(
         strategy,
-        cost_ns,
         Arc::new(factor),
         trace,
     ))
@@ -218,21 +196,6 @@ fn decode_plan_file(fp: Fingerprint, bytes: &[u8]) -> Option<SelectionPlan> {
     }
 }
 
-fn decode_legacy_dense_file(fp: Fingerprint, bytes: &[u8]) -> Option<CachedSelection> {
-    let payload = entry::decode_framed(&LEGACY_DENSE_MAGIC, STORE_VERSION, fp, bytes)?;
-    let mut c = Cursor::new(payload);
-    let e = decode_dense_fields(&mut c)?;
-    if !c.done() {
-        return None;
-    }
-    Some(e)
-}
-
-fn decode_legacy_operator_file(fp: Fingerprint, bytes: &[u8]) -> Option<StrategyDescriptor> {
-    let payload = entry::decode_framed(&LEGACY_OPERATOR_MAGIC, OPERATOR_STORE_VERSION, fp, bytes)?;
-    StrategyDescriptor::decode(payload)
-}
-
 /// Outcome of a [`StrategyStore::try_save`] attempt.  The tri-state matters
 /// to the engine's circuit breaker: an existing entry is *not* a
 /// persistence failure, and a failed write is *not* a write-once skip.
@@ -240,18 +203,17 @@ fn decode_legacy_operator_file(fp: Fingerprint, bytes: &[u8]) -> Option<Strategy
 pub enum SaveOutcome {
     /// This call wrote the entry.
     Written,
-    /// An entry for the fingerprint already existed (any format) — the
-    /// write-once contract skipped the write.  Also returned for plans the
-    /// store cannot derive a complete entry for (e.g. a dense plan without
-    /// its workload gram), which stay memory-only by design.
+    /// An entry for the fingerprint already existed — the write-once
+    /// contract skipped the write.  Also returned for plans the store
+    /// cannot derive a complete entry for (e.g. a dense plan without its
+    /// workload gram), which stay memory-only by design.
     Skipped,
     /// The write was attempted and failed (I/O error, torn write).
     Failed,
 }
 
 /// A directory of persisted selection plans, shared by any number of engines
-/// and processes (see the module docs for format, migration and concurrency
-/// semantics).
+/// and processes (see the module docs for format and concurrency semantics).
 #[derive(Debug)]
 pub struct StrategyStore {
     dir: PathBuf,
@@ -296,77 +258,47 @@ impl StrategyStore {
         self.corrupt_dropped.load(Ordering::Relaxed)
     }
 
-    /// Reads and decodes one entry file; a corrupt entry is counted and
-    /// deleted (best effort — a failed delete only means the next load
-    /// re-detects the corruption) so a fresh selection can rewrite it.
-    fn load_file<T>(&self, path: &Path, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
-        let bytes = std::fs::read(path).ok()?;
-        match decode(&bytes) {
-            Some(v) => Some(v),
-            None => {
-                self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
-                let _ = std::fs::remove_file(path);
-                None
-            }
-        }
-    }
-
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// The on-disk path of a fingerprint's unified entry.
+    /// The on-disk path of a fingerprint's entry.
     pub fn entry_path(&self, fp: Fingerprint) -> PathBuf {
         self.dir.join(format!("{fp}.{PLAN_STORE_EXTENSION}"))
     }
 
-    /// The on-disk path a pre-unification dense entry would occupy.
-    pub fn legacy_dense_path(&self, fp: Fingerprint) -> PathBuf {
-        self.dir.join(format!("{fp}.{STORE_EXTENSION}"))
-    }
-
-    /// The on-disk path a pre-unification structured entry would occupy.
-    pub fn legacy_operator_path(&self, fp: Fingerprint) -> PathBuf {
-        self.dir.join(format!("{fp}.{OPERATOR_STORE_EXTENSION}"))
-    }
-
     /// Loads a fingerprint's plan, pre-seeded with every persisted derived
-    /// quantity.  Probes the unified format first, then each legacy format.
-    /// Any corruption (truncation, checksum mismatch, wrong version,
-    /// mismatched fingerprint, malformed payload) deletes the offending
-    /// entry and falls through, so the caller recomputes and rewrites it.
+    /// quantity.  Any corruption (truncation, checksum mismatch, wrong
+    /// version, mismatched fingerprint, malformed payload) counts and
+    /// deletes the entry (best effort — a failed delete only means the next
+    /// load re-detects the corruption), so the caller recomputes and
+    /// rewrites it.
     pub fn load(&self, fp: Fingerprint) -> Option<Arc<SelectionPlan>> {
-        // Fault-injection seam, consulted once per load (not per probed
-        // format): a read fault behaves exactly like an unreadable file —
-        // the caller recomputes; nothing is deleted or counted corrupt.
+        // Fault-injection seam: a read fault behaves exactly like an
+        // unreadable file — the caller recomputes; nothing is deleted or
+        // counted corrupt.
         match self.injector.inject(FaultSite::StoreRead) {
             Some(Fault::Fail | Fault::Torn) => return None,
             Some(Fault::LatencyMs(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
             _ => {}
         }
-        if let Some(plan) = self.load_file(&self.entry_path(fp), |b| decode_plan_file(fp, b)) {
-            return Some(Arc::new(plan));
+        let path = self.entry_path(fp);
+        let bytes = std::fs::read(&path).ok()?;
+        match decode_plan_file(fp, &bytes) {
+            Some(plan) => Some(Arc::new(plan)),
+            None => {
+                self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                let _ = std::fs::remove_file(&path);
+                None
+            }
         }
-        if let Some(e) = self.load_file(&self.legacy_dense_path(fp), |b| {
-            decode_legacy_dense_file(fp, b)
-        }) {
-            return Some(Arc::new(SelectionPlan::Dense(Arc::new(e))));
-        }
-        if let Some(d) = self.load_file(&self.legacy_operator_path(fp), |b| {
-            decode_legacy_operator_file(fp, b)
-        }) {
-            return Some(Arc::new(SelectionPlan::Structured(Arc::new(
-                d.instantiate(),
-            ))));
-        }
-        None
     }
 
-    /// Persists a plan (write-once per fingerprint, across formats): returns
-    /// `true` when this call wrote the entry, `false` when any entry already
-    /// existed or the write failed.  [`StrategyStore::try_save`] exposes
-    /// which of the two it was.
+    /// Persists a plan (write-once per fingerprint): returns `true` when
+    /// this call wrote the entry, `false` when an entry already existed or
+    /// the write failed.  [`StrategyStore::try_save`] exposes which of the
+    /// two it was.
     pub fn save(
         &self,
         fp: Fingerprint,
@@ -376,9 +308,9 @@ impl StrategyStore {
         self.try_save(fp, plan, workload_gram) == SaveOutcome::Written
     }
 
-    /// Persists a plan (write-once per fingerprint, across formats),
-    /// distinguishing a skipped write from a failed one — the signal the
-    /// engine's store circuit breaker runs on.
+    /// Persists a plan (write-once per fingerprint), distinguishing a
+    /// skipped write from a failed one — the signal the engine's store
+    /// circuit breaker runs on.
     ///
     /// Dense plans need the `workload_gram` they were selected for to derive
     /// their trace term (if not already materialised); structured and
@@ -392,10 +324,7 @@ impl StrategyStore {
         workload_gram: Option<&Matrix>,
     ) -> SaveOutcome {
         let path = self.entry_path(fp);
-        if path.exists()
-            || self.legacy_dense_path(fp).exists()
-            || self.legacy_operator_path(fp).exists()
-        {
+        if path.exists() {
             return SaveOutcome::Skipped; // write-once per fingerprint
         }
         let payload = match plan {
@@ -444,7 +373,8 @@ impl StrategyStore {
             Some(Fault::LatencyMs(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
             _ => {}
         }
-        let tmp_name = format!(".{fp}.tmp.{}", std::process::id());
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp_name = format!(".{fp}.tmp.{}.{seq}", std::process::id());
         if entry::atomic_write(&self.dir, &tmp_name, &path, &bytes) {
             SaveOutcome::Written
         } else {
@@ -452,41 +382,13 @@ impl StrategyStore {
         }
     }
 
-    /// Loads up to `limit` plans into a [`StrategyCache`] (deterministic
-    /// ascending-fingerprint order, all formats), returning how many were
-    /// inserted.  Corrupt entries are skipped (and deleted) exactly as in
+    /// Loads up to `limit` plans into a [`StrategyCache`] in ascending
+    /// fingerprint order, returning how many were inserted.  Corrupt
+    /// entries are skipped (and deleted) exactly as in
     /// [`StrategyStore::load`].
     pub fn warm(&self, cache: &StrategyCache, limit: usize) -> usize {
-        // Collect into an ordered set: directory order is arbitrary and a
-        // fingerprint can appear under several extensions, but which entries
-        // warm under a `limit` must be a pure function of the store's
-        // contents.
-        // mm-lint: allow(determinism-hygiene): directory order is discarded — fingerprints are deduplicated and re-sorted numerically below before any are loaded
-        let Ok(dir) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let mut fps: BTreeSet<u64> = BTreeSet::new();
-        for entry in dir.flatten() {
-            let path = entry.path();
-            let Some(ext) = path.extension().and_then(|e| e.to_str()) else {
-                continue;
-            };
-            if ext != PLAN_STORE_EXTENSION
-                && ext != STORE_EXTENSION
-                && ext != OPERATOR_STORE_EXTENSION
-            {
-                continue;
-            }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Ok(raw) = u64::from_str_radix(stem, 16) else {
-                continue;
-            };
-            fps.insert(raw);
-        }
         let mut inserted = 0;
-        for raw in fps.into_iter().take(limit) {
+        for raw in self.fingerprints().into_iter().take(limit) {
             let fp = Fingerprint(raw);
             if let Some(plan) = self.load(fp) {
                 cache.insert(fp, plan);
@@ -496,72 +398,40 @@ impl StrategyStore {
         inserted
     }
 
-    /// Number of distinct fingerprints with (undamaged or not-yet-inspected)
-    /// entries on disk, across all formats.
+    /// Number of fingerprints with (undamaged or not-yet-inspected) entries
+    /// on disk.
     pub fn len(&self) -> usize {
-        // mm-lint: allow(determinism-hygiene): the count is order-independent and diagnostic only — no serving decision keys on directory iteration order
-        let Ok(dir) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let mut fps: BTreeSet<u64> = BTreeSet::new();
-        for entry in dir.flatten() {
-            let path = entry.path();
-            let Some(ext) = path.extension().and_then(|e| e.to_str()) else {
-                continue;
-            };
-            if ext != PLAN_STORE_EXTENSION
-                && ext != STORE_EXTENSION
-                && ext != OPERATOR_STORE_EXTENSION
-            {
-                continue;
-            }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Ok(raw) = u64::from_str_radix(stem, 16) else {
-                continue;
-            };
-            fps.insert(raw);
-        }
-        fps.len()
+        self.fingerprints().len()
     }
 
     /// Whether the store holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-/// Legacy dense `.mmsel` encoder, kept (test-only) so the migration read
-/// path has a byte-exact regression oracle.
-#[cfg(test)]
-pub(crate) fn encode_legacy_dense_file(
-    fp: Fingerprint,
-    e: &CachedSelection,
-    workload_gram: &Matrix,
-) -> Option<Vec<u8>> {
-    let factor = e.factor().ok()?;
-    let trace = e.trace_term(workload_gram).ok()?;
-    let mut payload = Vec::new();
-    encode_dense_fields(&mut payload, e, &factor, trace);
-    Some(entry::encode_framed(
-        &LEGACY_DENSE_MAGIC,
-        STORE_VERSION,
-        fp,
-        &payload,
-    ))
-}
-
-/// Legacy structured `.mmop` encoder, kept (test-only) so the migration
-/// read path has a byte-exact regression oracle.
-#[cfg(test)]
-pub(crate) fn encode_legacy_operator_file(fp: Fingerprint, d: &StrategyDescriptor) -> Vec<u8> {
-    entry::encode_framed(
-        &LEGACY_OPERATOR_MAGIC,
-        OPERATOR_STORE_VERSION,
-        fp,
-        &d.encode(),
-    )
+    /// The fingerprints of every entry file in the directory, in ascending
+    /// order: which entries warm under a `limit` must be a pure function of
+    /// the store's contents, never of directory order.
+    fn fingerprints(&self) -> BTreeSet<u64> {
+        let mut fps = BTreeSet::new();
+        // mm-lint: allow(determinism-hygiene): directory order is discarded — fingerprints are collected into an ordered set before any caller sees them
+        let Ok(dir) = std::fs::read_dir(&self.dir) else {
+            return fps;
+        };
+        for entry in dir.flatten() {
+            let path = entry.path();
+            if path
+                .extension()
+                .is_some_and(|ext| ext == PLAN_STORE_EXTENSION)
+            {
+                let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+                if let Ok(raw) = u64::from_str_radix(stem, 16) {
+                    fps.insert(raw);
+                }
+            }
+        }
+        fps
+    }
 }
 
 #[cfg(test)]
@@ -581,7 +451,7 @@ mod tests {
     }
 
     fn dense_entry(n: usize) -> CachedSelection {
-        CachedSelection::with_cost(Arc::new(identity_strategy(n)), 42_000)
+        CachedSelection::new(Arc::new(identity_strategy(n)))
     }
 
     fn dense_plan(n: usize) -> SelectionPlan {
@@ -637,7 +507,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(trace.to_bits(), loaded.trace_term(&gram).unwrap().to_bits());
-        assert_eq!(loaded.selection_cost_ns(), 42_000);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -803,94 +672,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dense_entries_stay_readable() {
-        let dir = tmp_dir("legacy-dense");
-        let store = StrategyStore::open(&dir).unwrap();
-        let fp = Fingerprint(0xBEEF);
-        let e = dense_entry(5);
-        let gram = Matrix::identity(5);
-        let factor = e.factor().unwrap();
-        let trace = e.trace_term(&gram).unwrap();
-        let bytes = encode_legacy_dense_file(fp, &e, &gram).unwrap();
-        std::fs::write(store.legacy_dense_path(fp), &bytes).unwrap();
-        assert_eq!(store.len(), 1);
-
-        let loaded = store.load(fp).expect("legacy entry loads");
-        let loaded = loaded.as_dense().expect("dense plan kind");
-        for (a, b) in factor
-            .l()
-            .as_slice()
-            .iter()
-            .zip(loaded.factor().unwrap().l().as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "legacy factor bit-identical");
-        }
-        assert_eq!(trace.to_bits(), loaded.trace_term(&gram).unwrap().to_bits());
-        assert_eq!(loaded.selection_cost_ns(), 42_000);
-
-        // A live legacy entry blocks a unified rewrite (write-once spans
-        // formats), and a corrupted one is deleted and falls through.
-        assert!(!store.save(fp, &dense_plan(5), Some(&gram)));
-        let mut corrupted = bytes.clone();
-        let mid = corrupted.len() / 2;
-        corrupted[mid] ^= 0x08;
-        std::fs::write(store.legacy_dense_path(fp), &corrupted).unwrap();
-        assert!(store.load(fp).is_none());
-        assert!(
-            !store.legacy_dense_path(fp).exists(),
-            "corrupt legacy deleted"
-        );
-        assert!(
-            store.save(fp, &dense_plan(5), Some(&gram)),
-            "slot clear again"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_operator_entries_stay_readable() {
-        let dir = tmp_dir("legacy-op");
-        let store = StrategyStore::open(&dir).unwrap();
-        let fp = Fingerprint(0xF00D);
-        let d = StrategyDescriptor::Hierarchical {
-            n: 10,
-            branching: 2,
-        };
-        let bytes = encode_legacy_operator_file(fp, &d);
-        std::fs::write(store.legacy_operator_path(fp), &bytes).unwrap();
-        assert_eq!(store.len(), 1);
-
-        let loaded = store.load(fp).expect("legacy entry loads");
-        let loaded = loaded.as_structured().expect("structured plan kind");
-        assert_eq!(loaded.descriptor(), d);
-
-        assert!(
-            !store.save(
-                fp,
-                &SelectionPlan::Structured(Arc::new(d.instantiate())),
-                None
-            ),
-            "live legacy entry blocks a rewrite"
-        );
-        let mut corrupted = bytes.clone();
-        corrupted.truncate(corrupted.len() / 2);
-        std::fs::write(store.legacy_operator_path(fp), &corrupted).unwrap();
-        assert!(store.load(fp).is_none());
-        assert!(!store.legacy_operator_path(fp).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn warm_fills_a_cache_across_formats_in_deterministic_order() {
+    fn warm_fills_a_cache_across_plan_kinds_in_deterministic_order() {
         let dir = tmp_dir("warm");
         let store = StrategyStore::open(&dir).unwrap();
         let gram = Matrix::identity(4);
-        // fp 1: unified dense, fp 2: legacy dense, fp 3: legacy structured.
+        // fp 1 and 2: dense, fp 3: structured.
         assert!(store.save(Fingerprint(1), &dense_plan(4), Some(&gram)));
-        let legacy = encode_legacy_dense_file(Fingerprint(2), &dense_entry(4), &gram).unwrap();
-        std::fs::write(store.legacy_dense_path(Fingerprint(2)), &legacy).unwrap();
-        let op = encode_legacy_operator_file(Fingerprint(3), &StrategyDescriptor::Haar { n: 8 });
-        std::fs::write(store.legacy_operator_path(Fingerprint(3)), &op).unwrap();
+        assert!(store.save(Fingerprint(2), &dense_plan(4), Some(&gram)));
+        let haar =
+            SelectionPlan::Structured(Arc::new(StrategyDescriptor::Haar { n: 8 }.instantiate()));
+        assert!(store.save(Fingerprint(3), &haar, None));
         assert_eq!(store.len(), 3);
 
         let cache = StrategyCache::new(8);
@@ -906,6 +697,41 @@ mod tests {
         assert!(small.get(Fingerprint(1)).is_some());
         assert!(small.get(Fingerprint(2)).is_some());
         assert!(small.get(Fingerprint(3)).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_fingerprint_never_fail() {
+        // Writers racing on the same fingerprints through one handle each
+        // write their own temporary file, so no rename loses its source.
+        const THREADS: usize = 4;
+        const FINGERPRINTS: u64 = 200;
+        let dir = tmp_dir("concurrent-save");
+        let store = Arc::new(StrategyStore::open(&dir).unwrap());
+        let plan = Arc::new(SelectionPlan::Structured(Arc::new(
+            StrategyDescriptor::Haar { n: 8 }.instantiate(),
+        )));
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS));
+        let threads: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (store, plan, barrier) = (store.clone(), plan.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    (0..FINGERPRINTS)
+                        .filter(|&v| {
+                            store.try_save(Fingerprint(v), &plan, None) == SaveOutcome::Failed
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        let failed: usize = threads.into_iter().map(|t| t.join().unwrap()).sum();
+        assert_eq!(failed, 0, "no concurrent save may fail");
+        assert_eq!(store.len(), FINGERPRINTS as usize);
+        for v in 0..FINGERPRINTS {
+            assert!(store.load(Fingerprint(v)).is_some(), "entry {v} loads");
+        }
+        assert_eq!(store.corrupt_dropped(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -33,8 +33,10 @@
 //! [`SelectionPlan`] entries carrying only the
 //! [`StrategyDescriptor`] (a few bytes, not an n×n factor); a warm restart
 //! rebuilds the operator from the descriptor and answers bit-identically to
-//! the run that wrote it.  Legacy `.mmop` entries written by earlier
-//! releases stay readable through the store's migration read path.
+//! the run that wrote it.  Structured plans are looked up through the same
+//! path as every other plan kind (single-flight cache, store probe,
+//! persist), so concurrent first requests for one workload share one
+//! selection.
 
 use super::plan::SelectionPlan;
 use crate::privacy::PrivacyParams;
@@ -44,7 +46,6 @@ use mm_strategies::{
 };
 use mm_workload::{structured_fingerprint, Fingerprint, StructuredWorkload, WorkloadDescriptor};
 use rand::Rng;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Maps a structured workload's descriptor to a structured strategy.
@@ -233,59 +234,34 @@ impl super::Engine {
 
     /// Selects (or fetches from cache/store) the structured strategy for a
     /// workload descriptor, returning it with its fingerprint and whether
-    /// it was served without running the selector.
+    /// it was served without running the selector.  The lookup is
+    /// single-flight: concurrent first calls for one descriptor share one
+    /// selection.
     pub fn select_structured(
         &self,
         descriptor: &WorkloadDescriptor,
     ) -> crate::Result<(Arc<StructuredStrategy>, Fingerprint, bool)> {
         let fp = structured_fingerprint(descriptor);
-        let (strategy, hit) = self.structured_entry(fp, descriptor)?;
-        Ok((strategy, fp, hit))
-    }
-
-    pub(super) fn structured_entry(
-        &self,
-        fp: Fingerprint,
-        descriptor: &WorkloadDescriptor,
-    ) -> crate::Result<(Arc<StructuredStrategy>, bool)> {
-        if let Some(plan) = self.cache.get(fp) {
-            if let Some(strategy) = plan.as_structured() {
-                self.structured_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((strategy.clone(), true));
+        let (plan, hit) = self.lookup(&self.structured_front, fp, None, &|| {
+            let strategy = self.structured_selector.select(descriptor)?;
+            if strategy.dim() != descriptor.dim() {
+                return Err(MechanismError::InvalidArgument(format!(
+                    "structured selector `{}` returned a strategy over {} cells for a \
+                     workload over {}",
+                    self.structured_selector.name(),
+                    strategy.dim(),
+                    descriptor.dim()
+                )));
             }
+            Ok(SelectionPlan::Structured(Arc::new(strategy)))
+        })?;
+        match plan.as_structured() {
+            Some(strategy) => Ok((strategy.clone(), fp, hit)),
+            None => Err(MechanismError::InvalidArgument(format!(
+                "a {} plan cannot be answered through the structured path",
+                plan.kind()
+            ))),
         }
-        self.structured_misses.fetch_add(1, Ordering::Relaxed);
-        // Probe the persistent store before selecting: another run (or
-        // process) may have already recorded this fingerprint's descriptor.
-        // Breaker-gated like the dense path: a degraded store is skipped.
-        if let Some(plan) = self.store_probe(fp) {
-            if let Some(strategy) = plan.as_structured().cloned() {
-                self.structured_store_hits.fetch_add(1, Ordering::Relaxed);
-                let cached = self.cache.insert(fp, plan);
-                // A racing insert of a different plan kind under this
-                // fingerprint keeps us on the strategy we just loaded.
-                return Ok((cached.as_structured().cloned().unwrap_or(strategy), true));
-            }
-        }
-        let strategy = Arc::new(self.structured_selector.select(descriptor)?);
-        if strategy.dim() != descriptor.dim() {
-            return Err(MechanismError::InvalidArgument(format!(
-                "structured selector `{}` returned a strategy over {} cells for a workload \
-                 over {}",
-                self.structured_selector.name(),
-                strategy.dim(),
-                descriptor.dim()
-            )));
-        }
-        self.structured_selections.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(SelectionPlan::Structured(strategy.clone()));
-        if self.persist_plan(fp, &plan, None) {
-            self.structured_store_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        // No single-flight: selection is O(n log n), and being deterministic
-        // a lost insert race still leaves every caller on one shared object.
-        let cached = self.cache.insert(fp, plan);
-        Ok((cached.as_structured().cloned().unwrap_or(strategy), false))
     }
 
     /// Answers a structured workload on the data vector `x` at the engine's
@@ -517,6 +493,28 @@ mod tests {
             assert_eq!(p.to_bits(), q.to_bits(), "warm restart bit-identical");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn structured_selection_reaches_the_selector_fault_seam() {
+        use crate::faults::{Fault, FaultSchedule, FaultSite};
+        // The first structured selection panics like a buggy selector; the
+        // flight is poisoned, nothing is cached, and the retry selects.
+        let engine = Engine::builder()
+            .fault_injector(FaultSchedule::new().inject_at(FaultSite::Selector, 0, Fault::Panic))
+            .build()
+            .unwrap();
+        let d = RangeQueryWorkload::prefixes(16).descriptor();
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.select_structured(&d)
+        }));
+        assert!(crashed.is_err(), "injected selector panic");
+        let (_, _, hit) = engine.select_structured(&d).unwrap();
+        assert!(!hit, "the poisoned flight cached nothing");
+        let stats = engine.stats();
+        assert_eq!(stats.structured_cache_misses, 2);
+        assert_eq!(stats.structured_selections, 1);
+        assert_eq!(stats.selections, 0, "dense counters stay untouched");
     }
 
     #[test]

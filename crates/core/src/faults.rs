@@ -41,12 +41,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FaultSite {
-    /// A [`StrategyStore`](crate::engine::StrategyStore) entry load
-    /// (counted once per `load` call, not per probed format).
+    /// A [`StrategyStore`](crate::engine::StrategyStore) entry load.
     StoreRead,
     /// A [`StrategyStore`](crate::engine::StrategyStore) entry write.
     StoreWrite,
-    /// A (dense or low-rank) strategy selection about to run.
+    /// A strategy selection (of any plan kind) about to run.
     Selector,
     /// A serve-tier worker about to run a dequeued job.
     Worker,

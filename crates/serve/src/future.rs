@@ -523,7 +523,9 @@ impl<W: Workload + Send + Sync + ?Sized + 'static> Future for BatchFuture<W> {
 /// structured selection is O(n log n) (microseconds even at n = 65 536, no
 /// eigendecomposition), so the whole request — cache probe, selection,
 /// noisy observations, conjugate-gradient reconstruction — runs inline on
-/// the first poll.  Answers are bit-identical to a direct
+/// the first poll.  The engine's plan lookup is single-flight, so
+/// concurrent first requests for one structured workload share one
+/// selection (and one store write).  Answers are bit-identical to a direct
 /// `engine.answer_structured` with a `StdRng` seeded the same way.
 pub struct StructuredFuture<W: StructuredWorkload + Send + Sync + ?Sized + 'static> {
     fut: ServeFuture<StructuredRequest<W>>,

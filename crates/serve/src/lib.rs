@@ -620,7 +620,9 @@ impl ServeEngine {
     /// even materialise its gram matrix.  The request never enqueues a
     /// worker job (structured selection is O(n log n)); everything runs on
     /// the first poll, and the answer is bit-identical to a direct engine
-    /// call with a `StdRng` seeded the same way.
+    /// call with a `StdRng` seeded the same way.  Concurrent first requests
+    /// for one structured workload share one selection: the engine's plan
+    /// lookup is single-flight for every plan kind.
     pub fn answer_structured<W>(
         &self,
         workload: Arc<W>,

@@ -199,6 +199,80 @@ fn structured_selection_is_deterministic_across_engines_and_sizes() {
 }
 
 #[test]
+fn concurrent_cold_structured_requests_share_one_selection() {
+    // Eight threads released together onto one cold n = 65 536 workload, on
+    // an engine with a strategy store: the lookup is single-flight, so the
+    // selector runs once, the write-once entry is written once, no save
+    // fails, and every caller answers on the leader's strategy.
+    const THREADS: usize = 8;
+    let n = 65_536;
+    let dir = std::env::temp_dir().join(format!(
+        "mm-structured-single-flight-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let workload = Arc::new(RangeQueryWorkload::prefixes(n));
+    let x = Arc::new(probe(n, 31));
+    let engine = Arc::new(
+        Engine::builder()
+            .privacy(PrivacyParams::paper_default())
+            .strategy_store(&dir)
+            .build()
+            .expect("engine builds"),
+    );
+    let barrier = Arc::new(std::sync::Barrier::new(THREADS));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (engine, barrier) = (Arc::clone(&engine), Arc::clone(&barrier));
+            let (workload, x) = (Arc::clone(&workload), Arc::clone(&x));
+            std::thread::spawn(move || {
+                barrier.wait();
+                let mut rng = StdRng::seed_from_u64(500 + t as u64);
+                engine
+                    .answer_structured(&*workload, &x, &mut rng)
+                    .expect("concurrent answer")
+            })
+        })
+        .collect();
+    let answers: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("thread"))
+        .collect();
+
+    let stats = engine.stats();
+    assert_eq!(stats.structured_selections, 1, "one selection");
+    assert_eq!(stats.structured_cache_misses, 1, "one leader");
+    assert_eq!(stats.structured_cache_hits, THREADS as u64 - 1);
+    assert_eq!(stats.structured_store_writes, 1, "one write-once entry");
+    assert_eq!(stats.store_save_failures, 0, "no spurious save failure");
+    for answer in &answers[1..] {
+        assert!(
+            Arc::ptr_eq(&answer.strategy, &answers[0].strategy),
+            "every caller answers on the leader's strategy"
+        );
+    }
+
+    let reference = Engine::new(PrivacyParams::paper_default());
+    for (t, answer) in answers.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(500 + t as u64);
+        let expect = reference
+            .answer_structured(&*workload, &x, &mut rng)
+            .expect("sequential answer");
+        assert_bits_eq(
+            &format!("thread {t}: answers"),
+            &answer.answers,
+            &expect.answers,
+        );
+        assert_bits_eq(
+            &format!("thread {t}: estimate"),
+            &answer.estimate,
+            &expect.estimate,
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn structured_error_prediction_is_calibrated_at_workspace_level() {
     // The closed-form expected rms error (Haar trace) must be a statistical
     // fact about the served answers, not just a formula: over repeated
