@@ -5,7 +5,8 @@
 //! `A = diag(λ) Q` to the convex weighting problem solved by `mm-opt`, with
 //! per-design-query costs `cᵢ = ‖column i of W Q⁺‖₂²`.  This module computes
 //! those costs from the workload's gram matrix (never materialising `W`),
-//! invokes the solver, and assembles the resulting strategy, including the
+//! invokes the certified dual-ascent solver ([`mm_opt::solve_weighting`]),
+//! and assembles the resulting strategy, including the
 //! column-completion step of Program 2 (steps 4–5) which pads low-norm columns
 //! with extra single-cell queries at no sensitivity cost.
 //!
@@ -17,15 +18,16 @@
 use crate::MechanismError;
 use mm_linalg::decomp::Cholesky;
 use mm_linalg::{ops, Matrix};
-use mm_opt::{solve_log_gd, GdOptions, WeightingProblem};
+use mm_opt::{solve_weighting, WeightingOptions, WeightingProblem};
 use mm_strategies::strategy::EXPLICIT_ENTRY_LIMIT;
 use mm_strategies::Strategy;
 
 /// Options for design-set weighting.
 #[derive(Debug, Clone)]
 pub struct DesignWeightingOptions {
-    /// Options for the convex solver.
-    pub solver: GdOptions,
+    /// Options for the weighting solver: the relative duality gap at which
+    /// it stops (default 1e-4).
+    pub solver: WeightingOptions,
     /// Whether to apply the column-completion step (Program 2, steps 4–5).
     pub completion: bool,
 }
@@ -33,7 +35,7 @@ pub struct DesignWeightingOptions {
 impl Default for DesignWeightingOptions {
     fn default() -> Self {
         DesignWeightingOptions {
-            solver: GdOptions::default(),
+            solver: WeightingOptions::default(),
             completion: true,
         }
     }
@@ -49,6 +51,10 @@ pub struct DesignResult {
     /// The solver objective `Σ cᵢ/uᵢ`, i.e. `trace(WᵀW (A'ᵀA')⁻¹)` for the
     /// pre-completion strategy with unit sensitivity.
     pub objective: f64,
+    /// The solver's weak-duality lower bound on the optimal objective.
+    pub dual_bound: f64,
+    /// The certified relative gap `(objective − dual_bound) / objective`.
+    pub gap: f64,
     /// The per-design-query costs `cᵢ`.
     pub costs: Vec<f64>,
 }
@@ -200,12 +206,14 @@ pub fn weighted_design_strategy_with_costs(
     opts: &DesignWeightingOptions,
 ) -> crate::Result<DesignResult> {
     let problem = WeightingProblem::from_design_queries(design, costs.clone())?;
-    let solution = solve_log_gd(&problem, &opts.solver)?;
+    let solution = solve_weighting(&problem, &opts.solver)?;
     let strategy = build_weighted_strategy(name, design, &solution.u, opts.completion)?;
     Ok(DesignResult {
         strategy,
         weights_squared: solution.u,
         objective: solution.objective,
+        dual_bound: solution.dual_bound,
+        gap: solution.gap,
         costs,
     })
 }

@@ -15,14 +15,15 @@
 use crate::design_set::{weighted_design_strategy_with_costs, DesignWeightingOptions};
 use mm_linalg::decomp::SymmetricEigen;
 use mm_linalg::Matrix;
-use mm_opt::GdOptions;
+use mm_opt::WeightingOptions;
 use mm_strategies::Strategy;
 
 /// Options for the Eigen-Design algorithm.
 #[derive(Debug, Clone)]
 pub struct EigenDesignOptions {
-    /// Options for the convex weighting solver.
-    pub solver: GdOptions,
+    /// Options for the weighting solver (Program 1): the certified relative
+    /// duality gap at which it stops (default 1e-4).
+    pub solver: WeightingOptions,
     /// Whether to apply the column-completion step (Program 2, steps 4–5).
     pub completion: bool,
     /// Eigenvalues below `rank_tol · σ₁` are treated as zero and their
@@ -33,7 +34,7 @@ pub struct EigenDesignOptions {
 impl Default for EigenDesignOptions {
     fn default() -> Self {
         EigenDesignOptions {
-            solver: GdOptions::default(),
+            solver: WeightingOptions::default(),
             completion: true,
             rank_tol: 1e-10,
         }
@@ -41,11 +42,11 @@ impl Default for EigenDesignOptions {
 }
 
 impl EigenDesignOptions {
-    /// Cheaper solver settings (used by the Sec. 4 performance optimizations
-    /// and by callers that trade a little accuracy for speed).
+    /// A looser solver certificate (gap 1e-3), for callers that trade a
+    /// little accuracy for speed.
     pub fn fast() -> Self {
         EigenDesignOptions {
-            solver: GdOptions::fast(),
+            solver: WeightingOptions::fast(),
             ..Default::default()
         }
     }
@@ -62,6 +63,11 @@ pub struct EigenDesignResult {
     pub weights_squared: Vec<f64>,
     /// The solver objective `Σ σᵢ/uᵢ` = `trace(WᵀW (A'ᵀA')⁻¹)` before completion.
     pub objective: f64,
+    /// The solver's weak-duality lower bound on the optimal objective; it
+    /// starts at the singular value bound of Theorem 2.
+    pub dual_bound: f64,
+    /// The certified relative gap `(objective − dual_bound) / objective`.
+    pub gap: f64,
     /// Number of retained (nonzero-eigenvalue) eigen-queries.
     pub rank: usize,
 }
@@ -124,6 +130,8 @@ pub fn eigen_design(
         eigenvalues,
         weights_squared: result.weights_squared,
         objective: result.objective,
+        dual_bound: result.dual_bound,
+        gap: result.gap,
         rank,
     })
 }

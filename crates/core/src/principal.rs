@@ -9,7 +9,7 @@
 use crate::design_set::build_weighted_strategy;
 use crate::eigen_design::workload_eigensystem;
 use mm_linalg::Matrix;
-use mm_opt::{solve_log_gd, GdOptions, WeightingProblem};
+use mm_opt::{solve_weighting, WeightingOptions, WeightingProblem};
 use mm_strategies::Strategy;
 
 /// Options for the principal-vector optimization.
@@ -17,8 +17,10 @@ use mm_strategies::Strategy;
 pub struct PrincipalOptions {
     /// Number of leading eigen-queries that receive individual weights.
     pub principal_count: usize,
-    /// Solver options.
-    pub solver: GdOptions,
+    /// Solver options: the certified relative duality gap at which the
+    /// weighting solve stops (1e-3 by default here,
+    /// [`WeightingOptions::fast`]).
+    pub solver: WeightingOptions,
     /// Whether to apply the column-completion step.
     pub completion: bool,
     /// Relative eigenvalue cutoff.
@@ -30,7 +32,7 @@ impl PrincipalOptions {
     pub fn with_principal_count(principal_count: usize) -> Self {
         PrincipalOptions {
             principal_count,
-            solver: GdOptions::fast(),
+            solver: WeightingOptions::fast(),
             completion: true,
             rank_tol: 1e-10,
         }
@@ -68,7 +70,7 @@ pub fn principal_vectors(
     if p == k {
         // Degenerates to the full algorithm.
         let problem = WeightingProblem::from_design_queries(&q, sigma.clone())?;
-        let sol = solve_log_gd(&problem, &opts.solver)?;
+        let sol = solve_weighting(&problem, &opts.solver)?;
         let strategy = build_weighted_strategy(
             format!("principal-vectors (all {k})"),
             &q,
@@ -97,7 +99,7 @@ pub fn principal_vectors(
         }
     });
     let problem = WeightingProblem::new(costs, constraint)?;
-    let sol = solve_log_gd(&problem, &opts.solver)?;
+    let sol = solve_weighting(&problem, &opts.solver)?;
     let common = sol.u[p];
     let mut weights = vec![0.0; k];
     weights[..p].copy_from_slice(&sol.u[..p]);
@@ -151,7 +153,7 @@ mod tests {
         let g = w.gram();
         let p = PrivacyParams::paper_default();
         let mut opts = PrincipalOptions::with_principal_count(16);
-        opts.solver = mm_opt::GdOptions::default();
+        opts.solver = mm_opt::WeightingOptions::default();
         let pr = principal_vectors(&g, &opts).unwrap();
         let full = eigen_design(&g, &EigenDesignOptions::default()).unwrap();
         let e1 = rms_workload_error(&g, w.query_count(), &pr.strategy, &p).unwrap();

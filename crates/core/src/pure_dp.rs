@@ -9,11 +9,12 @@
 //! ```
 //!
 //! Substituting `λ = eᵗ` makes `log F` a sum of log-sum-exp terms of affine
-//! functions of `t`, hence convex, and we minimise it with the same smoothed
-//! gradient scheme used for the (ε,δ) problem.  As the paper observes, there
-//! is no universally good design set under L1 — the eigen-queries ignore the
-//! L1 geometry — but weighting an existing basis (wavelet for ranges, Fourier
-//! for marginals) improves it by the factors reported in Sec. 3.5.
+//! functions of `t`, hence convex, and we minimise it by gradient descent
+//! with the max over columns smoothed by an annealed p-norm.  As the paper
+//! observes, there is no universally good design set under L1 — the
+//! eigen-queries ignore the L1 geometry — but weighting an existing basis
+//! (wavelet for ranges, Fourier for marginals) improves it by the factors
+//! reported in Sec. 3.5.
 
 use crate::design_set::design_costs;
 use crate::MechanismError;

@@ -11,7 +11,7 @@
 use crate::design_set::build_weighted_strategy;
 use crate::eigen_design::workload_eigensystem;
 use mm_linalg::Matrix;
-use mm_opt::{solve_log_gd, GdOptions, WeightingProblem};
+use mm_opt::{solve_weighting, WeightingOptions, WeightingProblem};
 use mm_strategies::Strategy;
 
 /// Options for eigen-query separation.
@@ -19,8 +19,10 @@ use mm_strategies::Strategy;
 pub struct SeparationOptions {
     /// Number of eigen-queries per group.
     pub group_size: usize,
-    /// Solver options for the per-group and combining problems.
-    pub solver: GdOptions,
+    /// Solver options for the per-group and combining problems: the
+    /// certified relative duality gap at which each solve stops (1e-3 by
+    /// default here, [`WeightingOptions::fast`]).
+    pub solver: WeightingOptions,
     /// Whether to apply the column-completion step to the final strategy.
     pub completion: bool,
     /// Relative eigenvalue cutoff, as in the full Eigen-Design algorithm.
@@ -32,7 +34,7 @@ impl SeparationOptions {
     pub fn with_group_size(group_size: usize) -> Self {
         SeparationOptions {
             group_size,
-            solver: GdOptions::fast(),
+            solver: WeightingOptions::fast(),
             completion: true,
             rank_tol: 1e-10,
         }
@@ -83,7 +85,7 @@ pub fn eigen_separation(
         let q_group = q.select_rows(&rows)?;
         let costs: Vec<f64> = sigma[lo..hi].to_vec();
         let problem = WeightingProblem::from_design_queries(&q_group, costs.clone())?;
-        let sol = solve_log_gd(&problem, &opts.solver)?;
+        let sol = solve_weighting(&problem, &opts.solver)?;
         let mut cost_g = 0.0;
         for (idx, &u) in sol.u.iter().enumerate() {
             within[lo + idx] = u;
@@ -110,7 +112,7 @@ pub fn eigen_separation(
     // minimise Σ_g C_g / γ_g subject to Σ_g γ_g · profile_g[cell] ≤ 1.
     let constraint = Matrix::from_fn(n, num_groups, |cell, g| group_profiles[g][cell]);
     let combine = WeightingProblem::new(group_cost, constraint)?;
-    let gamma = solve_log_gd(&combine, &opts.solver)?;
+    let gamma = solve_weighting(&combine, &opts.solver)?;
 
     // Final weights.
     let mut weights = vec![0.0; k];
@@ -171,7 +173,7 @@ mod tests {
         let g = w.gram();
         let p = PrivacyParams::paper_default();
         let mut opts = SeparationOptions::with_group_size(16);
-        opts.solver = mm_opt::GdOptions::default();
+        opts.solver = mm_opt::WeightingOptions::default();
         let sep = eigen_separation(&g, &opts).unwrap();
         let full = eigen_design(&g, &EigenDesignOptions::default()).unwrap();
         let e1 = rms_workload_error(&g, w.query_count(), &sep.strategy, &p).unwrap();

@@ -1,8 +1,8 @@
 //! Conjugate gradient solver for symmetric positive definite systems.
 //!
-//! Provided for callers that need matrix-free Newton or least-squares steps
-//! (e.g. scaling the barrier solver to large design sets without forming the
-//! dense Hessian).  The operator is supplied as a closure computing `A v`.
+//! Provided for callers that need matrix-free least-squares steps (the
+//! structured plans' normal equations).  The operator is supplied as a
+//! closure computing `A v`.
 
 use crate::error::{OptError, Result};
 

@@ -10,39 +10,17 @@ pub type Result<T> = std::result::Result<T, OptError>;
 pub enum OptError {
     /// The problem definition is inconsistent (shapes, negative costs, …).
     InvalidProblem(String),
-    /// An iterative solver failed to converge.
-    NonConvergence {
-        /// Solver name.
-        solver: &'static str,
-        /// Iterations performed before giving up.
-        iterations: usize,
-    },
-    /// A linear-algebra step failed.
-    Linalg(mm_linalg::LinalgError),
 }
 
 impl fmt::Display for OptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OptError::InvalidProblem(msg) => write!(f, "invalid problem: {msg}"),
-            OptError::NonConvergence { solver, iterations } => {
-                write!(
-                    f,
-                    "{solver} failed to converge after {iterations} iterations"
-                )
-            }
-            OptError::Linalg(e) => write!(f, "linear algebra error: {e}"),
         }
     }
 }
 
 impl std::error::Error for OptError {}
-
-impl From<mm_linalg::LinalgError> for OptError {
-    fn from(e: mm_linalg::LinalgError) -> Self {
-        OptError::Linalg(e)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -53,13 +31,5 @@ mod tests {
         assert!(OptError::InvalidProblem("x".into())
             .to_string()
             .contains("x"));
-        assert!(OptError::NonConvergence {
-            solver: "gd",
-            iterations: 10
-        }
-        .to_string()
-        .contains("gd"));
-        let e: OptError = mm_linalg::LinalgError::Empty.into();
-        assert!(e.to_string().contains("linear algebra"));
     }
 }

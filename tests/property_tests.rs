@@ -5,17 +5,24 @@
 //! deterministic family of seeded random cases (the case counts match the
 //! `ProptestConfig` this file used previously).
 
-use adaptive_dp::core::bounds::{rms_error_bound, workload_eigenvalues};
+use adaptive_dp::core::bounds::{rms_error_bound, svd_bound_value, workload_eigenvalues};
+use adaptive_dp::core::design_set::{weighted_design_strategy, DesignWeightingOptions};
+use adaptive_dp::core::eigen_design::workload_eigensystem;
 use adaptive_dp::core::error::rms_workload_error;
 use adaptive_dp::core::{eigen_design, EigenDesignOptions, PrivacyParams};
 use adaptive_dp::linalg::decomp::{Cholesky, SymmetricEigen};
 use adaptive_dp::linalg::{approx_eq, ops, Matrix};
-use adaptive_dp::opt::{solve_log_gd, GdOptions, WeightingProblem};
+use adaptive_dp::opt::{solve_weighting, WeightingOptions, WeightingProblem};
+use adaptive_dp::strategies::fourier::attribute_basis;
 use adaptive_dp::strategies::identity::identity_strategy;
+use adaptive_dp::strategies::wavelet::haar_matrix;
+use adaptive_dp::workload::example::fig1_workload;
+use adaptive_dp::workload::marginal::{MarginalKind, MarginalWorkload};
+use adaptive_dp::workload::prefix::PrefixWorkload;
 use adaptive_dp::workload::query::LinearQuery;
 use adaptive_dp::workload::range::{AllRangeWorkload, RandomRangeWorkload};
 use adaptive_dp::workload::transform::{seeded_permutation, PermutedWorkload};
-use adaptive_dp::workload::{Domain, ExplicitWorkload, Workload};
+use adaptive_dp::workload::{Domain, ExplicitWorkload, IdentityWorkload, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -151,10 +158,226 @@ fn weighting_solver_feasible_and_improving() {
             Ok(p) => p,
             Err(_) => continue, // e.g. a positive-cost query with all-zero coefficients
         };
-        let sol = solve_log_gd(&problem, &GdOptions::fast()).unwrap();
+        let sol = solve_weighting(&problem, &WeightingOptions::fast()).unwrap();
         assert!(problem.is_feasible(&sol.u, 1e-6));
         let init = problem.initial_point();
         assert!(sol.objective <= problem.objective(&init) * (1.0 + 1e-6));
+    }
+}
+
+/// Weak duality, checked without the solver: on the random problems above,
+/// the dual value of any simplex weighting of the constraints is at most
+/// the objective of any feasible point.
+#[test]
+fn weighting_weak_duality_holds_for_random_points() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(500 + seed);
+        let k = rng.gen_range(2usize..10);
+        let costs = random_vec(&mut rng, k, 0.0, 20.0);
+        let design = random_matrix(&mut rng, k, k + 2, 1.0);
+        let problem = match WeightingProblem::from_design_queries(&design, costs) {
+            Ok(p) => p,
+            Err(_) => continue,
+        };
+        for _ in 0..4 {
+            let raw = random_vec(&mut rng, problem.num_constraints(), 0.0, 1.0);
+            let total = ops::sum(&raw);
+            let mu: Vec<f64> = raw.iter().map(|&m| m / total).collect();
+            let u = problem.normalize(&random_vec(&mut rng, k, 0.01, 1.0));
+            assert!(problem.is_feasible(&u, 1e-9));
+            let (d, f) = (problem.dual_value(&mu), problem.objective(&u));
+            assert!(d <= f, "dual {d} above primal {f} (seed {seed})");
+        }
+    }
+}
+
+/// The Eigen-Design weighting problem of a workload (the retained
+/// eigenvectors as design queries, their eigenvalues as costs), together
+/// with the spectrum it sees: the retained eigenvalues, and zero for the
+/// eigenvalues below the rank cutoff (the numerical null space of a
+/// rank-deficient gram).
+fn eigen_problem<W: Workload>(w: &W) -> (Vec<f64>, WeightingProblem) {
+    let (eigenvalues, retained, q) = workload_eigensystem(&w.gram(), 1e-10).unwrap();
+    let mut spectrum = retained.clone();
+    spectrum.resize(eigenvalues.len(), 0.0);
+    (
+        spectrum,
+        WeightingProblem::from_design_queries(&q, retained).unwrap(),
+    )
+}
+
+/// On Eigen-Design problems the dual at uniform μ is the singular value
+/// bound (the design rows are unit-norm eigenvectors), and the solver's
+/// certificate brackets the optimum from there: svdb ≤ dual bound ≤
+/// objective, with objective − dual bound ≤ gap · objective.
+#[test]
+fn eigen_design_dual_starts_at_the_svd_bound() {
+    let opts = WeightingOptions::default();
+    let problems = [
+        (
+            "all-range 64",
+            eigen_problem(&AllRangeWorkload::new(Domain::new(&[64]))),
+        ),
+        (
+            "all-range 256",
+            eigen_problem(&AllRangeWorkload::new(Domain::new(&[256]))),
+        ),
+        (
+            "all-range 16x16",
+            eigen_problem(&AllRangeWorkload::new(Domain::new(&[16, 16]))),
+        ),
+        (
+            "2-way range marginals 8x8x4",
+            eigen_problem(&MarginalWorkload::all_k_way(
+                Domain::new(&[8, 8, 4]),
+                2,
+                MarginalKind::Range,
+            )),
+        ),
+    ];
+    for (name, (spectrum, problem)) in &problems {
+        let svdb = svd_bound_value(spectrum);
+        let cells = problem.num_constraints();
+        let d0 = problem.dual_value(&vec![1.0 / cells as f64; cells]);
+        assert!(
+            (d0 - svdb).abs() <= 1e-12 * svdb,
+            "{name}: D(uniform) = {d0}, svdb = {svdb}"
+        );
+        let sol = solve_weighting(problem, &opts).unwrap();
+        assert!(
+            svdb <= sol.dual_bound * (1.0 + 1e-12),
+            "{name}: dual bound {} below svdb {svdb}",
+            sol.dual_bound
+        );
+        assert!(sol.dual_bound <= sol.objective, "{name}");
+        assert!(
+            sol.objective - sol.dual_bound <= opts.gap * sol.objective,
+            "{name}: objective {} dual bound {}",
+            sol.objective,
+            sol.dual_bound
+        );
+        assert!(sol.gap <= opts.gap, "{name}: gap {}", sol.gap);
+    }
+}
+
+/// The ρ schedule's win, gated as a count: iteration counts repeat exactly,
+/// and ρ = 1 alone needs 1 000–1 900 updates on these problems.
+#[test]
+fn weighting_solver_closes_the_gap_within_400_iterations() {
+    let problems = [
+        (
+            "all-range 256",
+            eigen_problem(&AllRangeWorkload::new(Domain::new(&[256]))),
+        ),
+        (
+            "all-range 16x16",
+            eigen_problem(&AllRangeWorkload::new(Domain::new(&[16, 16]))),
+        ),
+        (
+            "2-way range marginals 8x8x4",
+            eigen_problem(&MarginalWorkload::all_k_way(
+                Domain::new(&[8, 8, 4]),
+                2,
+                MarginalKind::Range,
+            )),
+        ),
+    ];
+    let opts = WeightingOptions { gap: 1e-4 };
+    for (name, (_, problem)) in &problems {
+        let sol = solve_weighting(problem, &opts).unwrap();
+        assert!(sol.gap <= opts.gap, "{name}: gap {}", sol.gap);
+        assert!(
+            sol.iterations <= 400,
+            "{name}: {} iterations to gap 1e-4",
+            sol.iterations
+        );
+    }
+}
+
+/// The solver closes its gap on every workload the selector and
+/// Eigen-Design unit tests run Program 1 on.
+#[test]
+fn final_gap_within_tolerance_on_selector_workloads() {
+    let eigen_cases: Vec<(&str, Matrix, EigenDesignOptions)> = vec![
+        (
+            "identity 16",
+            IdentityWorkload::new(16).gram(),
+            EigenDesignOptions::default(),
+        ),
+        (
+            "fig1",
+            fig1_workload().gram(),
+            EigenDesignOptions::default(),
+        ),
+        (
+            "all-range 16",
+            AllRangeWorkload::new(Domain::one_dim(16)).gram(),
+            EigenDesignOptions::default(),
+        ),
+        (
+            "all-range 16 fast",
+            AllRangeWorkload::new(Domain::one_dim(16)).gram(),
+            EigenDesignOptions::fast(),
+        ),
+        (
+            "all-range 32",
+            AllRangeWorkload::new(Domain::one_dim(32)).gram(),
+            EigenDesignOptions::default(),
+        ),
+        (
+            "permuted all-range 16",
+            PermutedWorkload::new(
+                AllRangeWorkload::new(Domain::one_dim(16)),
+                seeded_permutation(16, 99),
+            )
+            .gram(),
+            EigenDesignOptions::default(),
+        ),
+        (
+            "2-way marginals 4x4x2",
+            MarginalWorkload::all_k_way(Domain::new(&[4, 4, 2]), 2, MarginalKind::Point).gram(),
+            EigenDesignOptions::default(),
+        ),
+        (
+            "1-way marginals 4x4",
+            MarginalWorkload::all_k_way(Domain::new(&[4, 4]), 1, MarginalKind::Point).gram(),
+            EigenDesignOptions::default(),
+        ),
+        (
+            "prefix 12, no completion",
+            PrefixWorkload::new(12).gram(),
+            EigenDesignOptions {
+                completion: false,
+                ..Default::default()
+            },
+        ),
+    ];
+    for (name, gram, opts) in &eigen_cases {
+        let res = eigen_design(gram, opts).unwrap();
+        assert!(res.gap <= opts.solver.gap, "{name}: gap {}", res.gap);
+        assert!(res.dual_bound <= res.objective, "{name}");
+    }
+
+    let range16 = AllRangeWorkload::new(Domain::one_dim(16)).gram();
+    let prefix8 = PrefixWorkload::new(8);
+    let prefix8_gram = prefix8.gram();
+    let prefix12 = PrefixWorkload::new(12).gram();
+    let design_cases: Vec<(&str, &Matrix, Matrix)> = vec![
+        ("wavelet, all-range 16", &range16, haar_matrix(16)),
+        ("fourier, all-range 16", &range16, attribute_basis(16)),
+        ("identity, all-range 16", &range16, Matrix::identity(16)),
+        (
+            "workload rows, prefix 8",
+            &prefix8_gram,
+            prefix8.to_matrix().unwrap(),
+        ),
+        ("fourier, prefix 12", &prefix12, attribute_basis(12)),
+    ];
+    let opts = DesignWeightingOptions::default();
+    for (name, gram, design) in &design_cases {
+        let res = weighted_design_strategy(*name, gram, design, &opts).unwrap();
+        assert!(res.gap <= opts.solver.gap, "{name}: gap {}", res.gap);
+        assert!(res.dual_bound <= res.objective, "{name}");
     }
 }
 
