@@ -4,23 +4,25 @@
 //! The dense engine path tops out where its n×n gram and eigensolve stop
 //! fitting the time/memory budget (n ≈ 2–4k).  The structured path selects a
 //! tree strategy in O(n), observes through the run-length operator, and
-//! reconstructs with CG on the normal equations — no materialised matrix
-//! anywhere — so range workloads at n = 65 536 answer in well under a
-//! second.  Two scenarios per domain size, answering the same deterministic
-//! interval workload:
+//! inverts the observations exactly in O(n) — no materialised matrix
+//! anywhere — so range workloads at n = 65 536 answer in milliseconds.  Two
+//! scenarios per domain size, answering the same deterministic interval
+//! workload:
 //!
 //! * `structured` — selection via [`TreeStructuredSelector`] plus one
-//!   end-to-end [`Engine::answer_structured`] (noise, CG reconstruction,
-//!   interval-operator evaluation) on a warm engine;
-//! * `dense` — the same answer pipeline fed by the *materialised* strategy
-//!   operator ([`ExplicitOperator`], which routes through the blocked
-//!   `ops::matmul` kernels): densification as the setup cost, dense matvecs
-//!   inside CG.  Above the operator's materialisation cap the scenario is
-//!   recorded as skipped — that cliff is the point of the bench.
+//!   end-to-end [`Engine::answer_structured`] (noise, the strategy's exact
+//!   least squares, prefix-sum evaluation) on a warm engine;
+//! * `dense` — the matrix mechanism without structure: the *materialised*
+//!   strategy operator ([`ExplicitOperator`], which routes through the
+//!   blocked `ops::matmul` kernels) observes, conjugate gradient over dense
+//!   matvecs reconstructs, and the interval operator's `apply` evaluates.
+//!   Densification is its setup cost.  Above the operator's
+//!   materialisation cap the scenario is recorded as skipped — that cliff
+//!   is the point of the bench.
 //!
-//! Both scenarios share the interval-operator workload evaluation, so the
-//! measured difference is the strategy-side cost: O(n log n) run-length
-//! applies against O(n²) dense matvecs.
+//! The measured difference is therefore the whole answer: O(n log n)
+//! observation, O(n) inference and O(n + m) evaluation against O(n²) dense
+//! matvecs inside an iterative solve.
 //!
 //! Environment knobs (all optional):
 //!
@@ -126,9 +128,10 @@ fn bench_domain(c: &mut Criterion, report: &mut LargeDomainReport, cfg: &Config,
         answer.min_ns(),
     ));
 
-    // Dense baseline: materialise the same strategy operator and push the
-    // identical pipeline (noise, CG, interval evaluation) through dense
-    // matvecs.  Past the materialisation cap the scenario cannot run.
+    // Dense baseline: materialise the same strategy operator, observe with
+    // the same noise calibration, reconstruct by CG over dense matvecs and
+    // evaluate through the interval operator.  Past the materialisation
+    // cap the scenario cannot run.
     let op = strategy.operator().clone();
     if op.materialize().is_none() {
         println!(

@@ -652,11 +652,12 @@ impl ServingBenchReport {
 ///
 /// `select_ns` is the strategy-side setup cost — structured selection for
 /// the structured path, operator densification for the dense baseline —
-/// and `answer_ns` the full noisy answer (observe, reconstruct via CG,
-/// evaluate).  Above the dense materialisation cap the baseline cannot run
-/// at all; such sizes are recorded with `skipped = true` and no timings, so
-/// the artifact shows *why* the comparison stops rather than silently
-/// omitting the row.
+/// and `answer_ns` the full noisy answer (observe, reconstruct, evaluate:
+/// the structured path inverts its strategy exactly, the dense baseline
+/// runs CG over the materialised operator).  Above the dense
+/// materialisation cap the baseline cannot run at all; such sizes are
+/// recorded with `skipped = true` and no timings, so the artifact shows
+/// *why* the comparison stops rather than silently omitting the row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LargeDomainRecord {
     /// Scenario name (`structured` or `dense`).

@@ -28,7 +28,7 @@
 //! persistent [`StrategyStore`] and the answer paths (see [`plan`]), and
 //! every plan kind answers through the same release step: dense and
 //! low-rank plans through triangular solves on a cached factor, structured
-//! plans through conjugate gradient.
+//! plans through their strategy's exact O(n) least squares.
 //!
 //! The engine is a concurrent server: all methods take `&self`, the cache is
 //! sharded and single-flight (N threads missing on one workload run one

@@ -12,7 +12,8 @@
 //!   `W·X̂`;
 //! * the **structured front** ([`Engine::answer_matrix_free`]) serves
 //!   matrix-free plans: observe `A·x` through the operator's `apply`, invert
-//!   by conjugate gradient, answer the workload's interval sums.
+//!   by the strategy's exact O(n) least squares, answer the workload's
+//!   interval sums.
 //!
 //! Before either front derives a cache key or selects, [`Engine::admit`]
 //! rejects malformed input and probes the ledger in O(1); the release step
@@ -28,7 +29,6 @@ use crate::accounting::Accountant;
 use crate::privacy::PrivacyParams;
 use crate::MechanismError;
 use mm_linalg::{LinearOperator, Matrix};
-use mm_opt::{cg_normal_equations, CgOptions};
 use mm_strategies::Strategy;
 use mm_workload::{try_gram_fingerprint, StructuredWorkload, Workload};
 use rand::Rng;
@@ -247,10 +247,11 @@ impl Engine {
     }
 
     /// The structured front, serving matrix-free plans: one operator
-    /// `apply` observes the data, conjugate gradient on the normal
-    /// equations `AᵀA x̂ = Aᵀy` recovers the estimate, and the workload's
-    /// own operator answers on it.  Peak memory is O(n + m); no n×n object
-    /// is ever formed.
+    /// `apply` observes the data,
+    /// [`StructuredStrategy::least_squares`](mm_strategies::StructuredStrategy::least_squares)
+    /// recovers the exact least-squares estimate in O(n), and the workload
+    /// evaluates it.  Peak memory is O(n + m); no n×n object is ever
+    /// formed.
     pub(crate) fn answer_matrix_free<W: StructuredWorkload + ?Sized, R: Rng>(
         &self,
         workload: &W,
@@ -270,7 +271,6 @@ impl Engine {
                 strategy.dim()
             )));
         }
-        let op = strategy.operator().clone();
         let sens = self
             .backend
             .sensitivity_from_norms(strategy.l2_sensitivity(), strategy.l1_sensitivity());
@@ -283,19 +283,10 @@ impl Engine {
             ledger,
             rng,
             || {
-                let y = op.apply(x);
+                let y = strategy.operator().apply(x);
                 Ok(Matrix::from_vec(y.len(), 1, y)?)
             },
-            // The tree/wavelet grams have O(log n) distinct eigenvalues, so
-            // CG converges in a few dozen iterations at any n.
-            |y| {
-                Ok(cg_normal_equations(
-                    |v| op.apply(v),
-                    |w| op.apply_transpose(w),
-                    y.as_slice(),
-                    &CgOptions::default(),
-                )?)
-            },
+            |y| Ok(strategy.least_squares(y.as_slice())),
         )?;
         let answers = workload.evaluate(&estimate);
         Ok(StructuredAnswer {

@@ -1,8 +1,8 @@
 //! Conjugate gradient solver for symmetric positive definite systems.
 //!
-//! Provided for callers that need matrix-free least-squares steps (the
-//! structured plans' normal equations).  The operator is supplied as a
-//! closure computing `A v`.
+//! Provided for callers that need matrix-free least-squares steps on an
+//! operator with no exact inverse at hand (see the crate docs for who calls
+//! it).  The operator is supplied as a closure computing `A v`.
 
 use crate::error::{OptError, Result};
 

@@ -58,8 +58,11 @@
 //! makes it safe: the reported gap is computed from the best primal and the
 //! best dual, each valid on its own, so it holds whatever path `μ` took.
 //!
-//! [`cg`] holds a conjugate-gradient solver for SPD systems, used by the
-//! matrix-free least-squares path.
+//! [`cg`] holds a conjugate-gradient solver for SPD systems.  No engine
+//! path runs it: the structured front inverts its strategies exactly.  Its
+//! callers are the `large_domain` bench's dense baseline (CG over the
+//! materialised operator), the repository benchmark's replay of the
+//! structured reconstruction, and tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

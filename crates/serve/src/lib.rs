@@ -615,9 +615,9 @@ impl ServeEngine {
 
     /// Answers a structured workload through the engine's matrix-free path
     /// ([`mm_core::Engine::answer_structured`]): noisy observations through
-    /// the strategy operator, conjugate-gradient reconstruction, O(n) peak
-    /// memory — the path that serves n = 65 536 where the dense tier cannot
-    /// even materialise its gram matrix.  The request never enqueues a
+    /// the strategy operator, exact O(n) least-squares reconstruction, O(n)
+    /// peak memory — the path that serves n = 65 536 where the dense tier
+    /// cannot even materialise its gram matrix.  The request never enqueues a
     /// worker job (structured selection is O(n log n)); everything runs on
     /// the first poll, and the answer is bit-identical to a direct engine
     /// call with a `StdRng` seeded the same way.  Concurrent first requests

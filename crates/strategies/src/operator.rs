@@ -8,8 +8,10 @@
 //! wavelet and of a k-ary hierarchy is a union of at most two constant runs
 //! of ±1.  [`RunRowsOperator`] stores exactly those runs — O(n log n) total
 //! — and applies them in the dense kernels' canonical order, so structured
-//! and dense answers agree *bit for bit* (see [`mm_linalg::operator`] for
-//! the contract; `tests/structured.rs` cross-validates).
+//! and dense applies agree *bit for bit* (see [`mm_linalg::operator`] for
+//! the contract; `tests/structured.rs` cross-validates).  Both families
+//! also have an exact O(n) least-squares inverse
+//! ([`StructuredStrategy::least_squares`]).
 //!
 //! [`StructuredStrategy`] bundles an operator with the sensitivities the
 //! noise backends calibrate against, computed with the *same expressions*
@@ -247,8 +249,11 @@ impl StrategyDescriptor {
 /// noise backends need, and the descriptor that persists it.
 ///
 /// The structured analogue of [`Strategy`](crate::Strategy) — it carries no
-/// gram matrix at all; answering runs through conjugate gradient on the
-/// normal equations instead of a dense factor.
+/// gram matrix at all; answering inverts the observations with
+/// [`StructuredStrategy::least_squares`], an exact O(n) solve, instead of a
+/// dense factor.  Every instance comes from [`haar_strategy`] or
+/// [`hierarchical_strategy_structured`] (the fields are private), which is
+/// what lets that solve rely on the row order those constructors emit.
 #[derive(Debug, Clone)]
 pub struct StructuredStrategy {
     name: String,
@@ -295,6 +300,113 @@ impl StructuredStrategy {
     pub fn l1_sensitivity(&self) -> f64 {
         self.l1_sensitivity
     }
+
+    /// The least-squares estimate `x̂ = (AᵀA)⁻¹Aᵀy` of the cells from one
+    /// answer per strategy row, exact up to rounding, in O(n) time and
+    /// memory and with a fixed operation order (so it replays bit for bit
+    /// at any thread count).
+    ///
+    /// * **Haar.** The rows are mutually orthogonal, so
+    ///   `x̂ = Hᵀ·diag(1/‖h_r‖²)·y`: the all-ones row has `‖h‖² = n`, a
+    ///   detail row over a block of `B` cells has `‖h‖² = B`.  The estimate
+    ///   is built top-down, one level of blocks at a time.
+    /// * **Hierarchy.** Every node is observed once at the same noise scale
+    ///   and the leaves are the cells, so Hay et al.'s two-pass inference
+    ///   (VLDB 2010) applies, in its general form that is exact for any
+    ///   tree, uneven depths included.  Upward, each node folds its
+    ///   children's estimates `S = Σ z_c` and weights `A = Σ a_c` into
+    ///   `z = (A·y + S)/(A + 1)`, `a = A/(A + 1)` (a leaf has `z = y`,
+    ///   `a = 1`); downward, each child takes `x_c = z_c + (a_c/A)·(x − S)`
+    ///   from its parent's final `x`.
+    ///
+    /// Panics when `y` does not hold one value per strategy row.
+    pub fn least_squares(&self, y: &[f64]) -> Vec<f64> {
+        assert_eq!(y.len(), self.rows(), "least_squares: dimension mismatch");
+        match self.descriptor {
+            StrategyDescriptor::Haar { n } => haar_least_squares(n, y),
+            StrategyDescriptor::Hierarchical { n, branching } => {
+                tree_least_squares(&self.operator.rows, n, branching, y)
+            }
+        }
+    }
+}
+
+/// [`StructuredStrategy::least_squares`] for the Haar rows of
+/// [`haar_strategy`]: the detail row of block `b` at block size `B` is row
+/// `n/B + b`.  `x` holds one value per block of the current size; each
+/// level splits every block into its `+` and `−` halves, back to front so
+/// no value is overwritten before it is read.
+fn haar_least_squares(n: usize, y: &[f64]) -> Vec<f64> {
+    let mut x = vec![0.0; n];
+    x[0] = y[0] / n as f64;
+    let mut blocks = 1;
+    while blocks < n {
+        let size = (n / blocks) as f64;
+        for b in (0..blocks).rev() {
+            let parent = x[b];
+            let detail = y[blocks + b] / size;
+            x[2 * b] = parent + detail;
+            x[2 * b + 1] = parent - detail;
+        }
+        blocks *= 2;
+    }
+    x
+}
+
+/// [`StructuredStrategy::least_squares`] for the interval rows of
+/// [`hierarchical_strategy_structured`], which are
+/// [`hierarchy_intervals`]' breadth-first order.  In that order a node of
+/// length ≥ 2 has `min(branching, length)` children, contiguous and right
+/// after the previous internal node's children, so the tree's shape is read
+/// off the row lengths with no index arrays.
+fn tree_least_squares(nodes: &[Vec<Run>], n: usize, branching: usize, y: &[f64]) -> Vec<f64> {
+    let span = |i: usize| (nodes[i][0].lo, nodes[i][0].hi - nodes[i][0].lo + 1);
+    let child_count = |len: usize| if len < 2 { 0 } else { branching.min(len) };
+    let sums = |z: &[f64], a: &[f64]| {
+        let (mut s, mut total) = (0.0, 0.0);
+        for (zc, ac) in z.iter().zip(a) {
+            s += zc;
+            total += ac;
+        }
+        (s, total)
+    };
+    // Upward: children blocks tile rows 1.. in parent order, so walking
+    // the parents backwards peels them off the end.
+    let mut z = y.to_vec();
+    let mut a = vec![1.0; nodes.len()];
+    let mut end = nodes.len();
+    for i in (0..nodes.len()).rev() {
+        let k = child_count(span(i).1);
+        if k == 0 {
+            continue;
+        }
+        let first = end - k;
+        let (s, total) = sums(&z[first..end], &a[first..end]);
+        z[i] = (total * y[i] + s) / (total + 1.0);
+        a[i] = total / (total + 1.0);
+        end = first;
+    }
+    debug_assert_eq!(end, 1, "every non-root row is some node's child");
+    // Downward: `z[i]` already holds node i's final estimate when it is
+    // reached, and its children still hold their upward values.
+    let mut x = vec![0.0; n];
+    let mut next = 1;
+    for i in 0..nodes.len() {
+        let (lo, len) = span(i);
+        let k = child_count(len);
+        if k == 0 {
+            x[lo] = z[i];
+            continue;
+        }
+        let children = next..next + k;
+        let (s, total) = sums(&z[children.clone()], &a[children.clone()]);
+        let residual = z[i] - s;
+        for c in children {
+            z[c] += (a[c] / total) * residual;
+        }
+        next += k;
+    }
+    x
 }
 
 /// The unnormalised Haar wavelet strategy over `n = 2^k` cells as a
@@ -382,6 +494,7 @@ mod tests {
     use super::*;
     use crate::hierarchical::hierarchical_1d;
     use crate::wavelet::{haar_matrix, wavelet_1d};
+    use mm_linalg::decomp::Cholesky;
     use mm_linalg::ExplicitOperator;
 
     fn assert_bits_eq(a: &[f64], b: &[f64]) {
@@ -514,6 +627,47 @@ mod tests {
         assert_eq!(y.len(), 8192);
         assert_eq!(y[0], 8192.0);
         assert_eq!(y[2], 0.0); // balanced detail row on constant data
+    }
+
+    #[test]
+    fn least_squares_matches_a_cholesky_solve_on_both_families() {
+        // The dense direct solution: Cholesky on the closed-form gram of
+        // the dense constructor, right-hand side `Aᵀy`.  The hierarchies
+        // at 7, 13, 48 and 1 000 have leaves at uneven depths.
+        let mut cases: Vec<(StructuredStrategy, Matrix)> = [1usize, 2, 8, 64, 512]
+            .into_iter()
+            .map(|n| (haar_strategy(n), wavelet_1d(n).gram().clone()))
+            .collect();
+        for (n, b) in [
+            (1usize, 2usize),
+            (2, 2),
+            (7, 2),
+            (13, 2),
+            (48, 2),
+            (100, 4),
+            (1000, 16),
+        ] {
+            let gram = hierarchical_1d(n, b).gram().clone();
+            cases.push((hierarchical_strategy_structured(n, b), gram));
+        }
+        for (s, gram) in cases {
+            let y: Vec<f64> = (0..s.rows())
+                .map(|i| ((i * 7919 + 13) % 2003) as f64 / 7.0 - 143.0)
+                .collect();
+            let exact = s.least_squares(&y);
+            let direct = Cholesky::new(&gram)
+                .unwrap()
+                .solve_vec(&s.operator().apply_transpose(&y))
+                .unwrap();
+            let scale = exact.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (i, (e, d)) in exact.iter().zip(&direct).enumerate() {
+                assert!(
+                    (e - d).abs() <= 1e-11 * scale,
+                    "{}: cell {i}: {e} vs Cholesky {d}",
+                    s.name()
+                );
+            }
+        }
     }
 
     #[test]

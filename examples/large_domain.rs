@@ -3,9 +3,10 @@
 //!
 //! The structured path keeps everything as operators: the workload is a list
 //! of intervals, the Haar strategy a list of run-length rows, and the
-//! estimate comes from CG on the normal equations.  Peak memory stays O(n),
-//! and the whole request — selection, noisy observation, reconstruction,
-//! evaluation of all 65 536 prefix queries — takes well under a second.
+//! estimate is the exact least-squares inverse, one O(n) inverse Haar
+//! transform.  Peak memory stays O(n), and the whole request — selection,
+//! noisy observation, reconstruction, evaluation of all 65 536 prefix
+//! queries — takes tens of milliseconds.
 //!
 //! Run with: `cargo run --release --example large_domain`
 
@@ -75,7 +76,7 @@ fn main() {
     }
 
     // A second request hits the in-memory selection cache: only the noise
-    // draw, the CG solve, and the interval evaluation remain.
+    // draw, the inverse transform, and the interval evaluation remain.
     let start = Instant::now();
     let again = engine
         .answer_structured(&workload, &x, &mut rng)

@@ -32,6 +32,8 @@ struct KernelBits {
     engine_estimate: Vec<u64>,
     structured_answers: Vec<u64>,
     structured_estimate: Vec<u64>,
+    tree_answers: Vec<u64>,
+    tree_estimate: Vec<u64>,
 }
 
 fn bits_of(values: &[f64]) -> Vec<u64> {
@@ -91,15 +93,30 @@ fn run_kernels() -> KernelBits {
         .expect("engine answers");
 
     // The matrix-free structured path: interval workload, run-length Haar
-    // strategy, CG reconstruction.  Large enough (n = 4096) that any
-    // thread-count-dependent accumulation in the operator applies, the CG
-    // reductions, or the evaluation pass would surface in the bits.
+    // strategy, exact least-squares reconstruction.  Large enough
+    // (n = 4096) that any thread-count-dependent accumulation in the
+    // operator applies, the inverse transform or the evaluation pass would
+    // surface in the bits.
     let sw = RangeQueryWorkload::prefixes(4096);
     let sdata: Vec<f64> = (0..4096).map(|i| 60.0 + (i % 23) as f64).collect();
     let mut rng = StdRng::seed_from_u64(43);
     let structured = engine
         .answer_structured(&sw, &sdata, &mut rng)
         .expect("structured engine answers");
+
+    // The same path on an uneven binary hierarchy (n = 3072 = 3·2¹⁰, so
+    // leaves sit at two depths): the two-pass tree inference.
+    let tw = RangeQueryWorkload::from_intervals(
+        3072,
+        (0..512)
+            .map(|q| ((q * 37) % 1536, 1536 + (q * 53) % 1536))
+            .collect(),
+    );
+    let tdata: Vec<f64> = (0..3072).map(|i| 30.0 + (i % 29) as f64).collect();
+    let mut rng = StdRng::seed_from_u64(44);
+    let tree = engine
+        .answer_structured(&tw, &tdata, &mut rng)
+        .expect("hierarchical engine answers");
 
     KernelBits {
         cholesky_factor: bits_of(factor.l().as_slice()),
@@ -113,6 +130,8 @@ fn run_kernels() -> KernelBits {
         engine_estimate: bits_of(&answer.estimate),
         structured_answers: bits_of(&structured.answers),
         structured_estimate: bits_of(&structured.estimate),
+        tree_answers: bits_of(&tree.answers),
+        tree_estimate: bits_of(&tree.estimate),
     }
 }
 
