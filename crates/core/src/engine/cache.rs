@@ -112,11 +112,21 @@ impl CachedSelection {
     /// assumption that it never varies across calls, which holds for every
     /// engine path.
     pub fn trace_term(&self, workload_gram: &Matrix) -> crate::Result<f64> {
+        self.trace_term_with(|| workload_gram)
+    }
+
+    /// [`CachedSelection::trace_term`] with the gram supplied lazily:
+    /// `workload_gram` runs only while the term is still unset, so a cache
+    /// hit whose term is known builds no gram.
+    pub(crate) fn trace_term_with<'g>(
+        &self,
+        workload_gram: impl FnOnce() -> &'g Matrix,
+    ) -> crate::Result<f64> {
         if let Some(t) = self.trace.get() {
             return Ok(*t);
         }
         let factor = self.factor()?;
-        let t = crate::error::trace_term_with_factor(workload_gram, &factor)?;
+        let t = crate::error::trace_term_with_factor(workload_gram(), &factor)?;
         Ok(*self.trace.get_or_init(|| t))
     }
 }

@@ -51,12 +51,12 @@ impl Engine {
     /// errors are never cached.  A fresh plan is persisted before it is
     /// published, so a restart racing this process sees the entry as soon
     /// as waiters do; dense plans need `workload_gram` to derive their
-    /// persisted trace term.
-    pub(super) fn lookup(
+    /// persisted trace term, called only after `select` ran.
+    pub(super) fn lookup<'g>(
         &self,
         front: &FrontStats,
         fp: Fingerprint,
-        workload_gram: Option<&Matrix>,
+        workload_gram: Option<&dyn Fn() -> &'g Matrix>,
         select: &dyn Fn() -> crate::Result<SelectionPlan>,
     ) -> crate::Result<(Arc<SelectionPlan>, bool)> {
         let guard = match self.cache.begin(fp) {
@@ -105,7 +105,7 @@ impl Engine {
         selections.fetch_add(1, Ordering::Relaxed);
         // Persistence is an optimisation, never a correctness dependency:
         // failures are retried with backoff, then absorbed.
-        if self.persist_plan(fp, &plan, workload_gram) {
+        if self.persist_plan(fp, &plan, workload_gram.map(|gram| gram())) {
             front.store_writes.fetch_add(1, Ordering::Relaxed);
         }
         Ok((guard.publish(plan), false))

@@ -93,7 +93,7 @@ pub use breaker::{
 pub use cache::{
     CachedSelection, FlightPoison, Lookup, SelectionGuard, StrategyCache, DEFAULT_SHARD_COUNT,
 };
-pub use plan::{LowRankPlan, PlanKind, SelectionPlan};
+pub use plan::{LowRankPlan, PlanKind, SelectionPlan, StructuredPlan};
 pub use selector::{
     DesignBasis, DesignSetSelector, EigenDesignSelector, FixedStrategySelector,
     MatrixDesignSelector, PureDpSelector, SelectionContext, StrategySelector,
@@ -114,8 +114,9 @@ use crate::MechanismError;
 use lookup::FrontStats;
 use mm_linalg::Matrix;
 use mm_strategies::Strategy;
-use mm_workload::{try_gram_fingerprint, Fingerprint, Workload};
+use mm_workload::{Fingerprint, Workload};
 use rand::Rng;
+use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -662,24 +663,27 @@ impl Engine {
         &self,
         workload: &W,
     ) -> crate::Result<(Arc<SelectionPlan>, Fingerprint, bool)> {
-        let gram = workload.gram();
-        let fp = self.plan_fingerprint(try_gram_fingerprint(&gram)?, gram.rows());
+        let (base, gram) = workload_key(workload)?;
+        let fp = self.plan_fingerprint(base, workload.dim());
         let (plan, hit) = self.select_plan(workload, &gram, fp)?;
         Ok((plan, fp, hit))
     }
 
-    /// The dense front's plan lookup over a precomputed gram matrix (see
-    /// [`Engine::lookup`]): on a miss, the Low-Rank Mechanism when the
-    /// [`EngineBuilder::low_rank`] knob truncates, the dense selector
-    /// otherwise.  The gram is only cloned (into the selection context) on a
-    /// miss; the hot cache-hit path copies nothing.
+    /// The dense front's plan lookup (see [`Engine::lookup`]): on a miss,
+    /// the Low-Rank Mechanism when the [`EngineBuilder::low_rank`] knob
+    /// truncates, the dense selector otherwise.  The gram comes from `gram`,
+    /// built into it only when a miss needs it and the key did not already,
+    /// and is cloned (into the selection context) only on a miss; the hot
+    /// cache-hit path builds and copies nothing.
     fn select_plan<W: Workload + ?Sized>(
         &self,
         workload: &W,
-        gram: &Matrix,
+        gram: &OnceCell<Matrix>,
         fp: Fingerprint,
     ) -> crate::Result<(Arc<SelectionPlan>, bool)> {
-        self.lookup(&self.dense_front, fp, Some(gram), &|| {
+        let gram = || gram.get_or_init(|| workload.gram());
+        self.lookup(&self.dense_front, fp, Some(&gram), &|| {
+            let gram = gram();
             if let Some(rank) = self.low_rank.filter(|&r| r < gram.rows()) {
                 // Eigen-design inside the top-`rank` subspace.  (A
                 // non-truncating rank falls through to the dense selector
@@ -781,6 +785,17 @@ impl Engine {
         self.answer_dense(workload, Some(strategy), self.privacy, &[x], rng, None)
             .map(single)
     }
+}
+
+/// A workload's base cache key ([`Workload::try_fingerprint`]) and a cell
+/// holding its gram when the key had to build it: a memoised key on a
+/// repeated instance builds none, and a first sight hands its gram on to
+/// the selection.
+pub(crate) fn workload_key<W: Workload + ?Sized>(
+    workload: &W,
+) -> crate::Result<(Fingerprint, OnceCell<Matrix>)> {
+    let (base, gram) = workload.try_fingerprint()?;
+    Ok((base, gram.map_or_else(OnceCell::new, OnceCell::from)))
 }
 
 /// The one answer of a one-vector batch.

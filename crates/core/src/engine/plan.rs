@@ -16,7 +16,8 @@
 //! * [`SelectionPlan::Dense`] — the classic pipeline: an explicit strategy
 //!   matrix with its factor and trace term, selected in O(n³).
 //! * [`SelectionPlan::Structured`] — a matrix-free operator strategy rebuilt
-//!   from a few-byte descriptor in O(n log n).
+//!   from a few-byte descriptor in O(n log n), with its trace term (see
+//!   [`StructuredPlan`]).
 //! * [`SelectionPlan::LowRank`] — the Low-Rank Mechanism (arXiv:1208.0094 /
 //!   1212.2309): the workload gram is truncated to its top-`r` eigen-subspace
 //!   `L̃` (`r × n`), eigen-design selection runs *inside* the subspace in
@@ -26,9 +27,11 @@
 //!   predict the rank/error trade-off.
 
 use super::cache::CachedSelection;
+use super::structured::haar_interval_trace;
 use mm_linalg::Matrix;
-use mm_strategies::StructuredStrategy;
-use std::sync::Arc;
+use mm_strategies::{StrategyDescriptor, StructuredStrategy};
+use mm_workload::WorkloadDescriptor;
+use std::sync::{Arc, OnceLock};
 
 /// Discriminant of a [`SelectionPlan`], for stats and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,6 +194,50 @@ impl LowRankPlan {
     }
 }
 
+/// A matrix-free plan: the structured strategy plus its Prop. 4 trace term
+/// against the workload it was selected for.
+///
+/// The term is computed on the first answer and reused afterwards, like
+/// [`CachedSelection::trace_term`]: the plan is keyed by the structured
+/// fingerprint, which hashes every queried interval, so the term is a
+/// function of the plan.  It is not persisted — the store entry stays the
+/// strategy descriptor — and a loaded plan recomputes the same bits.
+#[derive(Debug)]
+pub struct StructuredPlan {
+    strategy: Arc<StructuredStrategy>,
+    trace: OnceLock<Option<f64>>,
+}
+
+impl StructuredPlan {
+    /// Wraps a selected strategy (the trace term is computed on first use).
+    pub fn new(strategy: StructuredStrategy) -> Self {
+        StructuredPlan {
+            strategy: Arc::new(strategy),
+            trace: OnceLock::new(),
+        }
+    }
+
+    /// The selected strategy.
+    pub fn strategy(&self) -> &Arc<StructuredStrategy> {
+        &self.strategy
+    }
+
+    /// The trace term `trace(WᵀW (AᵀA)⁻¹)` of the described workload, where a
+    /// closed form exists: the Haar strategy against intervals over its own
+    /// domain, in O(m log n).  `None` means "no closed form", never "zero".
+    /// Computed on the first call and reused, so callers must pass the
+    /// descriptor the plan was selected for.
+    pub fn trace_term(&self, descriptor: &WorkloadDescriptor) -> Option<f64> {
+        *self.trace.get_or_init(|| {
+            let StrategyDescriptor::Haar { n } = self.strategy.descriptor() else {
+                return None;
+            };
+            let WorkloadDescriptor::Intervals { n: wn, intervals } = descriptor;
+            (*wn == n).then(|| haar_interval_trace(n, intervals))
+        })
+    }
+}
+
 /// One selected strategy artifact, whatever pipeline produced it — the
 /// single currency of the engine's cache, store and answer paths (see the
 /// module docs).
@@ -198,8 +245,8 @@ impl LowRankPlan {
 pub enum SelectionPlan {
     /// A dense selection (explicit matrix, factor, trace term).
     Dense(Arc<CachedSelection>),
-    /// A matrix-free structured strategy.
-    Structured(Arc<StructuredStrategy>),
+    /// A matrix-free structured strategy with its trace term.
+    Structured(Arc<StructuredPlan>),
     /// A Low-Rank Mechanism plan.
     LowRank(Arc<LowRankPlan>),
 }
@@ -218,7 +265,7 @@ impl SelectionPlan {
     pub fn dim(&self) -> usize {
         match self {
             SelectionPlan::Dense(entry) => entry.strategy().dim(),
-            SelectionPlan::Structured(strategy) => strategy.dim(),
+            SelectionPlan::Structured(plan) => plan.strategy.dim(),
             SelectionPlan::LowRank(plan) => plan.dim(),
         }
     }
@@ -234,7 +281,7 @@ impl SelectionPlan {
     /// The structured strategy, when this is a structured plan.
     pub fn as_structured(&self) -> Option<&Arc<StructuredStrategy>> {
         match self {
-            SelectionPlan::Structured(strategy) => Some(strategy),
+            SelectionPlan::Structured(plan) => Some(plan.strategy()),
             _ => None,
         }
     }
@@ -264,7 +311,7 @@ mod tests {
         assert!(dense.as_dense().is_some());
         assert!(dense.as_structured().is_none() && dense.as_low_rank().is_none());
 
-        let structured = SelectionPlan::Structured(Arc::new(haar_strategy(8)));
+        let structured = SelectionPlan::Structured(Arc::new(StructuredPlan::new(haar_strategy(8))));
         assert_eq!(structured.kind(), PlanKind::Structured);
         assert_eq!(structured.dim(), 8);
         assert!(structured.as_structured().is_some());

@@ -24,13 +24,13 @@
 
 use super::plan::SelectionPlan;
 use super::session::BudgetLedger;
-use super::{CachedSelection, Engine, EngineAnswer, StructuredAnswer};
+use super::{workload_key, CachedSelection, Engine, EngineAnswer, StructuredAnswer};
 use crate::accounting::Accountant;
 use crate::privacy::PrivacyParams;
 use crate::MechanismError;
 use mm_linalg::{LinearOperator, Matrix};
 use mm_strategies::Strategy;
-use mm_workload::{try_gram_fingerprint, StructuredWorkload, Workload};
+use mm_workload::{StructuredWorkload, Workload};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -154,15 +154,16 @@ impl Engine {
     ) -> crate::Result<Vec<EngineAnswer>> {
         let accountant = ledger.as_deref().map(BudgetLedger::accountant);
         self.admit(workload, xs, &privacy, accountant)?;
-        let gram = workload.gram();
-        let base = try_gram_fingerprint(&gram)?;
+        // `gram` holds the workload gram only once something has built it:
+        // a memoised key on a repeated instance does not.
+        let (base, gram) = workload_key(workload)?;
         let (plan, fingerprint, cache_hit) = match strategy {
             Some(strategy) => {
                 let entry = CachedSelection::new(strategy);
                 (Arc::new(SelectionPlan::Dense(Arc::new(entry))), base, false)
             }
             None => {
-                let fingerprint = self.plan_fingerprint(base, gram.rows());
+                let fingerprint = self.plan_fingerprint(base, workload.dim());
                 let (plan, hit) = self.select_plan(workload, &gram, fingerprint)?;
                 (plan, fingerprint, hit)
             }
@@ -170,18 +171,20 @@ impl Engine {
         // A low-rank plan's trace term is taken against the projected gram
         // `L̃GL̃ᵀ`; its strategy's sensitivities are those of the end-to-end
         // map `A_sub·L̃`, so the calibration below covers the whole release.
-        let (entry, basis, trace_gram): (&CachedSelection, Option<&Matrix>, &Matrix) = match &*plan
-        {
-            SelectionPlan::Dense(entry) => (entry.as_ref(), None, &gram),
-            SelectionPlan::LowRank(lr) => (lr.selection(), Some(lr.basis()), lr.subspace_gram()),
-            SelectionPlan::Structured(_) => {
-                return Err(MechanismError::InvalidArgument(
-                    "a structured plan cannot be answered through the dense path; \
-                     use the structured answer paths"
-                        .into(),
-                ))
-            }
-        };
+        let (entry, basis, trace_gram): (&CachedSelection, Option<&Matrix>, Option<&Matrix>) =
+            match &*plan {
+                SelectionPlan::Dense(entry) => (entry.as_ref(), None, None),
+                SelectionPlan::LowRank(lr) => {
+                    (lr.selection(), Some(lr.basis()), Some(lr.subspace_gram()))
+                }
+                SelectionPlan::Structured(_) => {
+                    return Err(MechanismError::InvalidArgument(
+                        "a structured plan cannot be answered through the dense path; \
+                         use the structured answer paths"
+                            .into(),
+                    ))
+                }
+            };
         let strategy = entry.strategy().clone();
         let dim = plan.dim();
         if workload.dim() != dim {
@@ -200,11 +203,14 @@ impl Engine {
             return Ok(Vec::new());
         }
         // Predicted error through the cached factor and trace term
-        // (Prop. 4 / Sec. 3.5) — both are data- and privacy-independent.
+        // (Prop. 4 / Sec. 3.5) — both are data- and privacy-independent.  A
+        // dense term still unset takes the workload gram, built only then.
         let factor = entry.factor()?;
         let sens = self.backend.sensitivity(&strategy);
-        let tse =
-            self.backend.error_constant(&privacy)? * sens * sens * entry.trace_term(trace_gram)?;
+        let trace = entry.trace_term_with(|| {
+            trace_gram.unwrap_or_else(|| gram.get_or_init(|| workload.gram()))
+        })?;
+        let tse = self.backend.error_constant(&privacy)? * sens * sens * trace;
         let m = workload.query_count();
         let expected_rms_error = (tse / m as f64).sqrt();
         let estimates = self.release(
@@ -234,16 +240,22 @@ impl Engine {
         // evaluation.
         let evaluated = workload.evaluate_matrix(&estimates);
         debug_assert_eq!(evaluated.shape(), (m, k));
-        Ok((0..k)
-            .map(|c| EngineAnswer {
-                answers: evaluated.col(c),
-                estimate: estimates.col(c),
-                strategy: strategy.clone(),
-                expected_rms_error,
-                fingerprint,
-                cache_hit,
-            })
-            .collect())
+        let answer = |answers, estimate| EngineAnswer {
+            answers,
+            estimate,
+            strategy: strategy.clone(),
+            expected_rms_error,
+            fingerprint,
+            cache_hit,
+        };
+        Ok(if k == 1 {
+            // One column moves out whole: no m-length copy.
+            vec![answer(evaluated.into_vec(), estimates.into_vec())]
+        } else {
+            (0..k)
+                .map(|c| answer(evaluated.col(c), estimates.col(c)))
+                .collect()
+        })
     }
 
     /// The structured front, serving matrix-free plans: one operator
@@ -264,7 +276,8 @@ impl Engine {
         self.admit(workload, &[x], &privacy, accountant)?;
         let n = workload.dim();
         let descriptor = workload.descriptor();
-        let (strategy, fingerprint, cache_hit) = self.select_structured(&descriptor)?;
+        let (plan, fingerprint, cache_hit) = self.structured_plan(&descriptor)?;
+        let strategy = plan.strategy().clone();
         if strategy.dim() != n {
             return Err(MechanismError::InvalidArgument(format!(
                 "workload covers {n} cells but the structured strategy covers {}",
@@ -275,7 +288,7 @@ impl Engine {
             .backend
             .sensitivity_from_norms(strategy.l2_sensitivity(), strategy.l1_sensitivity());
         let expected_rms_error =
-            self.structured_expected_rms_error(&descriptor, &strategy, &privacy, sens)?;
+            self.structured_expected_rms_error(&descriptor, &plan, &privacy, sens)?;
         let estimate = self.release(
             &privacy,
             sens,

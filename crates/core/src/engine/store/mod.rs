@@ -53,7 +53,7 @@
 pub(crate) mod entry;
 
 use super::cache::{CachedSelection, StrategyCache};
-use super::plan::{LowRankPlan, SelectionPlan};
+use super::plan::{LowRankPlan, SelectionPlan, StructuredPlan};
 use crate::faults::{Fault, FaultInjector, FaultSite, NoFaults};
 use crate::MechanismError;
 use entry::Cursor;
@@ -157,9 +157,9 @@ fn decode_plan_file(fp: Fingerprint, bytes: &[u8]) -> Option<SelectionPlan> {
         }
         KIND_STRUCTURED => {
             let descriptor = StrategyDescriptor::decode(c.rest())?;
-            Some(SelectionPlan::Structured(Arc::new(
+            Some(SelectionPlan::Structured(Arc::new(StructuredPlan::new(
                 descriptor.instantiate(),
-            )))
+            ))))
         }
         KIND_LOW_RANK => {
             let rank = usize::try_from(c.u64()?).ok()?;
@@ -341,7 +341,7 @@ impl StrategyStore {
             }
             SelectionPlan::Structured(s) => {
                 let mut out = vec![KIND_STRUCTURED];
-                out.extend_from_slice(&s.descriptor().encode());
+                out.extend_from_slice(&s.strategy().descriptor().encode());
                 out
             }
             SelectionPlan::LowRank(p) => {
@@ -541,7 +541,7 @@ mod tests {
         let store = StrategyStore::open(&dir).unwrap();
         let fp = Fingerprint(0xFEED_F00D);
         let d = StrategyDescriptor::Haar { n: 64 };
-        let plan = SelectionPlan::Structured(Arc::new(d.instantiate()));
+        let plan = SelectionPlan::Structured(Arc::new(StructuredPlan::new(d.instantiate())));
         assert!(store.save(fp, &plan, None), "first save writes");
         assert!(!store.save(fp, &plan, None), "second save is write-once");
         assert_eq!(store.len(), 1);
@@ -679,8 +679,9 @@ mod tests {
         // fp 1 and 2: dense, fp 3: structured.
         assert!(store.save(Fingerprint(1), &dense_plan(4), Some(&gram)));
         assert!(store.save(Fingerprint(2), &dense_plan(4), Some(&gram)));
-        let haar =
-            SelectionPlan::Structured(Arc::new(StrategyDescriptor::Haar { n: 8 }.instantiate()));
+        let haar = SelectionPlan::Structured(Arc::new(StructuredPlan::new(
+            StrategyDescriptor::Haar { n: 8 }.instantiate(),
+        )));
         assert!(store.save(Fingerprint(3), &haar, None));
         assert_eq!(store.len(), 3);
 
@@ -708,9 +709,9 @@ mod tests {
         const FINGERPRINTS: u64 = 200;
         let dir = tmp_dir("concurrent-save");
         let store = Arc::new(StrategyStore::open(&dir).unwrap());
-        let plan = Arc::new(SelectionPlan::Structured(Arc::new(
+        let plan = Arc::new(SelectionPlan::Structured(Arc::new(StructuredPlan::new(
             StrategyDescriptor::Haar { n: 8 }.instantiate(),
-        )));
+        ))));
         let barrier = Arc::new(std::sync::Barrier::new(THREADS));
         let threads: Vec<_> = (0..THREADS)
             .map(|_| {

@@ -42,7 +42,7 @@
 //! persist), so concurrent first requests for one workload share one
 //! selection.
 
-use super::plan::SelectionPlan;
+use super::plan::{SelectionPlan, StructuredPlan};
 use crate::privacy::PrivacyParams;
 use crate::MechanismError;
 use mm_strategies::{
@@ -245,6 +245,16 @@ impl super::Engine {
         &self,
         descriptor: &WorkloadDescriptor,
     ) -> crate::Result<(Arc<StructuredStrategy>, Fingerprint, bool)> {
+        let (plan, fp, hit) = self.structured_plan(descriptor)?;
+        Ok((plan.strategy().clone(), fp, hit))
+    }
+
+    /// [`Engine::select_structured`](super::Engine::select_structured)'s
+    /// lookup, returning the whole plan so answers reuse its trace term.
+    pub(super) fn structured_plan(
+        &self,
+        descriptor: &WorkloadDescriptor,
+    ) -> crate::Result<(Arc<StructuredPlan>, Fingerprint, bool)> {
         let fp = structured_fingerprint(descriptor);
         let (plan, hit) = self.lookup(&self.structured_front, fp, None, &|| {
             let strategy = self.structured_selector.select(descriptor)?;
@@ -257,11 +267,13 @@ impl super::Engine {
                     descriptor.dim()
                 )));
             }
-            Ok(SelectionPlan::Structured(Arc::new(strategy)))
+            Ok(SelectionPlan::Structured(Arc::new(StructuredPlan::new(
+                strategy,
+            ))))
         })?;
-        match plan.as_structured() {
-            Some(strategy) => Ok((strategy.clone(), fp, hit)),
-            None => Err(MechanismError::InvalidArgument(format!(
+        match &*plan {
+            SelectionPlan::Structured(plan) => Ok((plan.clone(), fp, hit)),
+            _ => Err(MechanismError::InvalidArgument(format!(
                 "a {} plan cannot be answered through the structured path",
                 plan.kind()
             ))),
@@ -283,24 +295,20 @@ impl super::Engine {
     }
 
     /// The closed-form predicted RMS workload error, where one exists:
-    /// currently the Haar strategy against interval workloads (see
-    /// [`haar_interval_trace`]).  `None` means "not computed", never "zero".
+    /// currently the Haar strategy against interval workloads, through the
+    /// plan's cached trace term (see [`StructuredPlan::trace_term`]).
+    /// `None` means "not computed", never "zero".
     pub(super) fn structured_expected_rms_error(
         &self,
         descriptor: &WorkloadDescriptor,
-        strategy: &StructuredStrategy,
+        plan: &StructuredPlan,
         privacy: &PrivacyParams,
         sens: f64,
     ) -> crate::Result<Option<f64>> {
-        let StrategyDescriptor::Haar { n } = strategy.descriptor() else {
+        let Some(trace) = plan.trace_term(descriptor) else {
             return Ok(None);
         };
-        let WorkloadDescriptor::Intervals { n: wn, intervals } = descriptor;
-        if *wn != n {
-            return Ok(None);
-        }
-        let trace = haar_interval_trace(n, intervals);
-        let m = intervals.len() as f64;
+        let m = descriptor.query_count() as f64;
         let tse = self.backend.error_constant(privacy)? * sens * sens * trace;
         Ok(Some((tse / m).sqrt()))
     }

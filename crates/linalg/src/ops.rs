@@ -8,7 +8,8 @@
 //! of output rows accumulates — the difference between answering a K-vector
 //! batch with one product versus K cache-cold matvecs.  Larger products are
 //! parallelised over blocks of output rows with `std::thread::scope` (no
-//! external dependencies).
+//! external dependencies) when more than one thread is allowed; with one,
+//! they run on the calling thread.
 //!
 //! Every kernel accumulates each output entry in ascending depth order
 //! regardless of blocking or operand width, so the column `k` of a multi-RHS
@@ -99,13 +100,27 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     if m == 0 || n == 0 || k == 0 {
         return Ok(out);
     }
-    let work = m.saturating_mul(n).saturating_mul(k);
-    if m >= PARALLEL_THRESHOLD && work > 1_000_000 {
-        matmul_parallel(a, b, &mut out);
+    let threads = product_threads(m, m.saturating_mul(n).saturating_mul(k));
+    if threads > 1 {
+        matmul_parallel(a, b, &mut out, threads);
     } else {
         matmul_serial_range(a, b, out.as_mut_slice(), 0, m);
     }
     Ok(out)
+}
+
+/// Worker threads for a product with `rows` output rows and `work`
+/// multiply-adds: [`parallel::threads_for`] from [`PARALLEL_THRESHOLD`] rows
+/// and more than 10⁶ multiply-adds, else one.  One thread is the calling
+/// thread: a lone spawned worker would add a thread start and a join to
+/// every product, and could run it on another core whose caches hold none
+/// of the operands.
+fn product_threads(rows: usize, work: usize) -> usize {
+    if rows >= PARALLEL_THRESHOLD && work > 1_000_000 {
+        parallel::threads_for(rows)
+    } else {
+        1
+    }
 }
 
 fn matmul_serial_range(a: &Matrix, b: &Matrix, out: &mut [f64], row_start: usize, row_end: usize) {
@@ -154,10 +169,9 @@ fn matmul_serial_range(a: &Matrix, b: &Matrix, out: &mut [f64], row_start: usize
     }
 }
 
-fn matmul_parallel(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+fn matmul_parallel(a: &Matrix, b: &Matrix, out: &mut Matrix, threads: usize) {
     let m = a.rows();
     let n = b.cols();
-    let threads = parallel::threads_for(m);
     let chunk = m.div_ceil(threads);
     let out_data = out.as_mut_slice();
     std::thread::scope(|scope| {
@@ -195,9 +209,8 @@ pub fn matmul_transpose_left(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     if m == 0 || n == 0 || k == 0 {
         return Ok(out);
     }
-    let work = m.saturating_mul(n).saturating_mul(k);
-    if m >= PARALLEL_THRESHOLD && work > 1_000_000 {
-        let threads = parallel::threads_for(m);
+    let threads = product_threads(m, m.saturating_mul(n).saturating_mul(k));
+    if threads > 1 {
         let chunk = m.div_ceil(threads);
         let out_data = out.as_mut_slice();
         std::thread::scope(|scope| {

@@ -10,6 +10,8 @@
 //! 2. the `MM_LINALG_THREADS` environment variable (read once, at first use),
 //! 3. [`std::thread::available_parallelism`].
 //!
+//! A kernel granted one thread runs on the calling thread and starts none.
+//!
 //! # Determinism contract
 //!
 //! The thread count never changes *what* is computed — only who computes it.

@@ -82,7 +82,7 @@ pub use future::{AnswerFuture, BatchFuture, StructuredFuture};
 use mm_core::accounting::UserLedger;
 use mm_core::engine::{Engine, StoreHealth};
 use mm_core::{Fault, FaultSite, MechanismError};
-use mm_workload::{try_gram_fingerprint, StructuredWorkload, Workload};
+use mm_workload::{StructuredWorkload, Workload};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -710,13 +710,14 @@ impl ServeEngine {
             return BatchFuture::failed(self.inner.clone(), workload, e);
         }
         // The fingerprint is the dedup key for waker registration; a NaN
-        // gram is rejected here, before anything is queued or charged.  The
-        // base fingerprint is mixed through the engine's plan keying so a
-        // low-rank engine's futures wait on (and probe for) the same cache
-        // entry its answer path writes.
-        let gram = workload.gram();
-        let fp = match try_gram_fingerprint(&gram) {
-            Ok(base) => self.inner.engine.plan_fingerprint(base, gram.rows()),
+        // gram is rejected here, before anything is queued or charged.  It
+        // is the key the answer derives too, and a workload that memoises
+        // it (all-range, marginal) builds no gram for it here or there on a
+        // repeated request.  The base fingerprint is mixed through the
+        // engine's plan keying so a low-rank engine's futures wait on (and
+        // probe for) the same cache entry its answer path writes.
+        let fp = match workload.try_fingerprint() {
+            Ok((base, _)) => self.inner.engine.plan_fingerprint(base, workload.dim()),
             Err(nan) => {
                 self.inner.rejected.fetch_add(1, Ordering::Relaxed);
                 return BatchFuture::failed(

@@ -16,6 +16,7 @@
 
 use crate::Workload;
 use mm_linalg::Matrix;
+use std::sync::OnceLock;
 
 /// A 64-bit digest identifying a workload up to its gram matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -127,6 +128,31 @@ pub fn gram_fingerprint(gram: &Matrix) -> Fingerprint {
         })
     })
     .expect("NaN-canonicalising fingerprint cannot fail")
+}
+
+/// A per-instance memo of [`try_gram_fingerprint`], for workloads whose gram
+/// is a pure function of fields fixed at construction (see
+/// [`Workload::try_fingerprint`]).  A clone carries the memo, which stays
+/// right because it carries the same gram; a method that changes the gram
+/// must reset the memo.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FingerprintMemo(OnceLock<Fingerprint>);
+
+impl FingerprintMemo {
+    /// The memoised fingerprint with `None`, or — on first use — the
+    /// fingerprint of `gram()` with that gram, so the caller can reuse it.
+    /// A NaN gram is rejected and never memoised.
+    pub(crate) fn get_or_derive(
+        &self,
+        gram: impl FnOnce() -> Matrix,
+    ) -> Result<(Fingerprint, Option<Matrix>), NanGramEntry> {
+        if let Some(&fp) = self.0.get() {
+            return Ok((fp, None));
+        }
+        let gram = gram();
+        let fp = try_gram_fingerprint(&gram)?;
+        Ok((*self.0.get_or_init(|| fp), Some(gram)))
+    }
 }
 
 /// Fingerprints any [`Workload`] through its gram matrix.

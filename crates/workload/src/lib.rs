@@ -74,14 +74,36 @@ pub trait Workload {
     /// (length `query_count()`), in a fixed deterministic order.
     fn evaluate(&self, x: &[f64]) -> Vec<f64>;
 
+    /// The workload's cache key, [`try_gram_fingerprint`] of
+    /// [`Workload::gram`], returned with the gram when this call built it.
+    ///
+    /// The default builds the gram on every call, so it always returns
+    /// `Some`.  Workloads whose gram is fixed at construction
+    /// ([`range::AllRangeWorkload`], [`marginal::MarginalWorkload`])
+    /// memoise the fingerprint per instance: the first call builds the gram
+    /// and returns it, every later call returns the memo and `None`.  A
+    /// caller that needs the gram after `None` builds it itself, so repeated
+    /// requests on one instance — warm cache hits — build no gram at all,
+    /// and a first request hands the gram it hashed on to its selection.
+    ///
+    /// An override must return exactly `try_gram_fingerprint(&self.gram())`:
+    /// the value keys the engine's cache and store, where equal grams share
+    /// one plan (Props. 5–6).
+    fn try_fingerprint(&self) -> Result<(Fingerprint, Option<Matrix>), NanGramEntry> {
+        let gram = self.gram();
+        let fp = try_gram_fingerprint(&gram)?;
+        Ok((fp, Some(gram)))
+    }
+
     /// Evaluates every query against each *column* of `x` (an `n × K` matrix
     /// of K data vectors), returning the `m × K` answer matrix `W·X` with
     /// column `k` equal to `evaluate(x.col(k))` — **bit for bit**, so
     /// batched serving paths can substitute this for a per-column loop
     /// without changing a single result.
     ///
-    /// The default implementation is exactly that per-column loop.
-    /// Workloads with a materialised query matrix (e.g.
+    /// The default implementation is exactly that per-column loop; at
+    /// K = 1 `evaluate`'s vector becomes the single column as it is, with
+    /// no copy.  Workloads with a materialised query matrix (e.g.
     /// [`ExplicitWorkload`]) override it with one blocked mat-mat product,
     /// which accumulates each answer in the same ascending-index,
     /// zero-skipping order as their sparse per-query evaluation and
@@ -99,6 +121,10 @@ pub trait Workload {
         );
         let m = self.query_count();
         let k = x.cols();
+        if k == 1 {
+            return Matrix::from_vec(m, 1, self.evaluate(x.as_slice()))
+                .expect("evaluate must return one answer per query");
+        }
         let mut out = Matrix::zeros(m, k);
         for c in 0..k {
             let answers = self.evaluate(&x.col(c));

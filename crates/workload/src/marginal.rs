@@ -19,6 +19,7 @@
 //! paper's range-marginal workloads.
 
 use crate::domain::Domain;
+use crate::fingerprint::{Fingerprint, FingerprintMemo, NanGramEntry};
 use crate::range::{all_range_1d_count, all_range_1d_gram, all_range_1d_matrix};
 use crate::tensor::kron_apply;
 use crate::Workload;
@@ -42,6 +43,7 @@ pub struct MarginalWorkload {
     subsets: Vec<Vec<usize>>,
     kind: MarginalKind,
     normalized: bool,
+    fingerprint: FingerprintMemo,
 }
 
 impl MarginalWorkload {
@@ -71,6 +73,7 @@ impl MarginalWorkload {
             subsets: cleaned,
             kind,
             normalized: false,
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
@@ -122,6 +125,8 @@ impl MarginalWorkload {
     /// Scales every query to unit L2 norm (for relative-error optimization).
     pub fn into_normalized(mut self) -> Self {
         self.normalized = true;
+        // The gram changed: a key derived before this call is stale.
+        self.fingerprint = FingerprintMemo::default();
         self
     }
 
@@ -280,6 +285,10 @@ impl Workload for MarginalWorkload {
             g += &self.subset_gram(s);
         }
         g
+    }
+
+    fn try_fingerprint(&self) -> Result<(Fingerprint, Option<Matrix>), NanGramEntry> {
+        self.fingerprint.get_or_derive(|| self.gram())
     }
 
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {
@@ -528,6 +537,31 @@ mod tests {
         // x arranged row-major (attribute 0 slowest): rows are attr0 values.
         let x = vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0];
         assert_eq!(w.evaluate(&x), vec![6.0, 60.0]);
+    }
+
+    #[test]
+    fn memoised_key_is_the_gram_fingerprint() {
+        use crate::fingerprint::try_gram_fingerprint;
+        let d = Domain::new(&[4, 3, 2]);
+        for kind in [MarginalKind::Point, MarginalKind::Range] {
+            let w = MarginalWorkload::all_k_way(d.clone(), 2, kind);
+            let raw = try_gram_fingerprint(&w.gram()).unwrap();
+            let (first, gram) = w.try_fingerprint().unwrap();
+            assert_eq!(first, raw, "{kind:?}");
+            assert!(gram.is_some(), "the first call builds the gram");
+            let (again, none) = w.try_fingerprint().unwrap();
+            assert_eq!(again, raw);
+            assert!(none.is_none(), "a repeated call builds no gram");
+            // The key was derived before normalising: the normalised
+            // workload has another gram, so it must not reuse that key.
+            let normalized = w.into_normalized();
+            let expected = try_gram_fingerprint(&normalized.gram()).unwrap();
+            assert_ne!(expected, raw);
+            let (key, gram) = normalized.try_fingerprint().unwrap();
+            assert_eq!(key, expected, "{kind:?}: normalised key");
+            assert!(gram.is_some());
+            assert_eq!(normalized.try_fingerprint().unwrap().0, expected);
+        }
     }
 
     #[test]

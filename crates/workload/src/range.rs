@@ -15,9 +15,11 @@
 //! The full workload matrix (≈ n²/2 rows in 1D, far more in several
 //! dimensions) is therefore never materialised.  Query evaluation uses a
 //! summed-area table, so even the 665 000 range queries of the census domain
-//! are evaluated in milliseconds.
+//! are evaluated in milliseconds: in 1D one contiguous prefix difference per
+//! query, in several dimensions one allocation-free odometer walk.
 
 use crate::domain::Domain;
+use crate::fingerprint::{Fingerprint, FingerprintMemo, NanGramEntry};
 use crate::tensor::{box_sum, summed_area_table};
 use crate::Workload;
 use mm_linalg::{ops, Matrix};
@@ -115,6 +117,7 @@ pub fn all_range_1d_matrix(d: usize) -> Matrix {
 pub struct AllRangeWorkload {
     domain: Domain,
     normalized: bool,
+    fingerprint: FingerprintMemo,
 }
 
 impl AllRangeWorkload {
@@ -123,6 +126,7 @@ impl AllRangeWorkload {
         AllRangeWorkload {
             domain,
             normalized: false,
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
@@ -132,6 +136,7 @@ impl AllRangeWorkload {
         AllRangeWorkload {
             domain,
             normalized: true,
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
@@ -148,48 +153,64 @@ impl AllRangeWorkload {
     /// Enumerates all range boxes in the deterministic order used by
     /// [`Workload::evaluate`]: odometer over attributes (first attribute
     /// slowest), per attribute ordered by `(lo, hi)`.
+    ///
+    /// The one box enumeration of this workload: `f` sees a single box
+    /// advanced in place, so the walk allocates nothing per box.
     pub fn for_each_box<F: FnMut(&RangeBox)>(&self, mut f: F) {
-        let k = self.domain.num_attributes();
-        // Per-attribute list of (lo, hi) pairs.
-        let per_dim: Vec<Vec<(usize, usize)>> = self
-            .domain
-            .sizes()
-            .iter()
-            .map(|&d| {
-                let mut v = Vec::with_capacity(all_range_1d_count(d));
-                for lo in 0..d {
-                    for hi in lo..d {
-                        v.push((lo, hi));
-                    }
-                }
-                v
-            })
-            .collect();
-        let mut idx = vec![0usize; k];
+        let sizes = self.domain.sizes();
+        let k = sizes.len();
+        let mut b = RangeBox {
+            lows: vec![0; k],
+            highs: vec![0; k],
+        };
         loop {
-            let mut lows = Vec::with_capacity(k);
-            let mut highs = Vec::with_capacity(k);
-            for a in 0..k {
-                let (lo, hi) = per_dim[a][idx[a]];
-                lows.push(lo);
-                highs.push(hi);
-            }
-            f(&RangeBox { lows, highs });
-            // Advance odometer, last attribute fastest.
+            f(&b);
+            // Advance the odometer, last attribute fastest: `hi` steps
+            // first, then `lo` (restarting `hi` at `lo`), then the carry.
             let mut a = k;
             loop {
                 if a == 0 {
                     return;
                 }
                 a -= 1;
-                idx[a] += 1;
-                if idx[a] < per_dim[a].len() {
+                if b.highs[a] + 1 < sizes[a] {
+                    b.highs[a] += 1;
                     break;
                 }
-                idx[a] = 0;
-                if a == 0 {
-                    return;
+                if b.lows[a] + 1 < sizes[a] {
+                    b.lows[a] += 1;
+                    b.highs[a] = b.lows[a];
+                    break;
                 }
+                b.lows[a] = 0;
+                b.highs[a] = 0;
+            }
+        }
+    }
+}
+
+/// Answers every 1D range `(lo, hi)` in `(lo, hi)` order from the prefix
+/// sums `t`, appending to `out`: `0.0 + t[hi] − t[lo−1]`, or `0.0 + t[hi]`
+/// when `lo = 0` — the additions [`box_sum`] makes in 1D, so the bits
+/// (−0.0 included) are the same, over one contiguous run per `lo`.
+fn evaluate_1d(t: &[f64], normalized: bool, out: &mut Vec<f64>) {
+    let d = t.len();
+    let roots: Vec<f64> = if normalized {
+        (1..=d).map(|len| (len as f64).sqrt()).collect()
+    } else {
+        Vec::new()
+    };
+    for lo in 0..d {
+        let start = out.len();
+        match lo.checked_sub(1).map(|p| t[p]) {
+            None => out.extend(t.iter().map(|&v| 0.0 + v)),
+            Some(base) => out.extend(t[lo..].iter().map(|&v| 0.0 + v - base)),
+        }
+        if normalized {
+            // `roots[len − 1]` is `sqrt(len)`, correctly rounded like the
+            // per-box `sqrt(volume)` it replaces.
+            for (v, root) in out[start..].iter_mut().zip(&roots) {
+                *v /= root;
             }
         }
     }
@@ -218,14 +239,22 @@ impl Workload for AllRangeWorkload {
         ops::kron_all(&factors)
     }
 
+    fn try_fingerprint(&self) -> Result<(Fingerprint, Option<Matrix>), NanGramEntry> {
+        self.fingerprint.get_or_derive(|| self.gram())
+    }
+
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.dim());
-        let shape = self.domain.sizes().to_vec();
-        let table = summed_area_table(x, &shape);
+        let shape = self.domain.sizes();
+        let table = summed_area_table(x, shape);
         let mut out = Vec::with_capacity(self.query_count());
         let normalized = self.normalized;
+        if shape.len() == 1 {
+            evaluate_1d(&table, normalized, &mut out);
+            return out;
+        }
         self.for_each_box(|b| {
-            let mut v = box_sum(&table, &shape, &b.lows, &b.highs);
+            let mut v = box_sum(&table, shape, &b.lows, &b.highs);
             if normalized {
                 v /= (b.volume() as f64).sqrt();
             }
@@ -578,6 +607,107 @@ mod tests {
         let slow = m.matvec(&x).unwrap();
         for (f, s) in fast.iter().zip(slow.iter()) {
             assert!(approx_eq(*f, *s, 1e-10));
+        }
+    }
+
+    /// Cells mixing ±0.0 with values far apart in magnitude, so any change
+    /// to the order or grouping of the prefix differences shows in the bits.
+    fn signed_zero_cells(n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| match rng.gen_range(0..5) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => rng.gen_range(-1e16..1e16),
+                _ => rng.gen_range(-3.0..3.0),
+            })
+            .collect()
+    }
+
+    /// Every box in evaluation order, enumerated independently of
+    /// `for_each_box`: the cartesian product of the per-attribute `(lo, hi)`
+    /// lists, first attribute slowest.
+    fn reference_boxes(sizes: &[usize]) -> Vec<RangeBox> {
+        let mut boxes = vec![RangeBox {
+            lows: Vec::new(),
+            highs: Vec::new(),
+        }];
+        for &d in sizes {
+            let mut next = Vec::new();
+            for b in &boxes {
+                for lo in 0..d {
+                    for hi in lo..d {
+                        let mut c = b.clone();
+                        c.lows.push(lo);
+                        c.highs.push(hi);
+                        next.push(c);
+                    }
+                }
+            }
+            boxes = next;
+        }
+        boxes
+    }
+
+    #[test]
+    fn evaluate_is_the_reference_box_walk_bit_for_bit() {
+        let domains: [&[usize]; 6] = [&[1], &[2], &[37], &[1, 1], &[16, 24], &[3, 4, 5]];
+        for (case, sizes) in domains.into_iter().enumerate() {
+            let n: usize = sizes.iter().product();
+            let x = signed_zero_cells(n, 40 + case as u64);
+            let table = summed_area_table(&x, sizes);
+            let expected = reference_boxes(sizes);
+            let mut walked = Vec::new();
+            AllRangeWorkload::new(Domain::new(sizes)).for_each_box(|b| walked.push(b.clone()));
+            assert_eq!(walked, expected, "{sizes:?}: box order");
+            for w in [
+                AllRangeWorkload::new(Domain::new(sizes)),
+                AllRangeWorkload::normalized(Domain::new(sizes)),
+            ] {
+                let bits: Vec<u64> = w.evaluate(&x).iter().map(|v| v.to_bits()).collect();
+                let reference: Vec<u64> = expected
+                    .iter()
+                    .map(|b| {
+                        let mut v = box_sum(&table, sizes, &b.lows, &b.highs);
+                        if w.is_normalized() {
+                            v /= (b.volume() as f64).sqrt();
+                        }
+                        v.to_bits()
+                    })
+                    .collect();
+                assert_eq!(bits, reference, "{}", w.description());
+                let one = w.evaluate_matrix(&Matrix::from_vec(n, 1, x.clone()).unwrap());
+                assert_eq!(one.shape(), (w.query_count(), 1));
+                let one: Vec<u64> = one.as_slice().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(one, reference, "{}: K = 1 column", w.description());
+            }
+        }
+        // A lone −0.0 answers +0.0 (the `0.0 +` start), as `box_sum` does.
+        let lone = AllRangeWorkload::new(Domain::one_dim(1)).evaluate(&[-0.0]);
+        assert_eq!(lone[0].to_bits(), 0.0_f64.to_bits());
+    }
+
+    #[test]
+    fn memoised_key_is_the_gram_fingerprint() {
+        use crate::fingerprint::try_gram_fingerprint;
+        for w in [
+            AllRangeWorkload::new(Domain::one_dim(24)),
+            AllRangeWorkload::normalized(Domain::one_dim(24)),
+            AllRangeWorkload::new(Domain::new(&[4, 6])),
+            AllRangeWorkload::normalized(Domain::new(&[3, 2, 4])),
+        ] {
+            let expected = try_gram_fingerprint(&w.gram()).unwrap();
+            let (first, gram) = w.try_fingerprint().unwrap();
+            assert_eq!(first, expected, "{}", w.description());
+            let gram = gram.expect("the first call builds the gram");
+            assert_eq!(try_gram_fingerprint(&gram).unwrap(), expected);
+            let (again, none) = w.try_fingerprint().unwrap();
+            assert_eq!(again, expected);
+            assert!(none.is_none(), "a repeated call builds no gram");
+            // A clone carries the memo: it has the same gram.
+            let (cloned, none) = w.clone().try_fingerprint().unwrap();
+            assert_eq!(cloned, expected);
+            assert!(none.is_none());
         }
     }
 
