@@ -4,15 +4,14 @@
 //! Sec. 3.4).  Also prints the Table 1 dataset summary.
 
 use mm_bench::report::fmt;
-use mm_bench::runs::eigen_strategy_for;
+use mm_bench::runs::{eigen_strategy_for, fixed_strategy_engine};
 use mm_bench::{ExperimentTable, RunConfig};
-use mm_core::PrivacyParams;
+use mm_core::{Engine, PrivacyParams};
 use mm_data::relative_error::{average_relative_error, RelativeErrorOptions};
 use mm_data::synthetic::{synthetic_histogram, SyntheticDataset};
 use mm_data::DataVector;
 use mm_strategies::hierarchical::binary_hierarchical;
 use mm_strategies::wavelet::wavelet_strategy;
-use mm_strategies::Strategy;
 use mm_workload::range::{AllRangeWorkload, RandomRangeWorkload};
 use mm_workload::{Domain, Workload};
 use rand::rngs::StdRng;
@@ -68,13 +67,15 @@ fn main() {
 
     for ds in &sets {
         let domain = ds.data.domain().clone();
-        let hierarchical = binary_hierarchical(&domain);
-        let wavelet = wavelet_strategy(&domain);
+        // One engine per strategy; each serves its whole ε sweep (and both
+        // workloads) from one cached selection per workload.
+        let hierarchical = fixed_strategy_engine(binary_hierarchical(&domain));
+        let wavelet = fixed_strategy_engine(wavelet_strategy(&domain));
 
         // All range: select the eigen strategy on the normalized workload.
         let all = AllRangeWorkload::new(domain.clone());
         let all_norm = AllRangeWorkload::normalized(domain.clone());
-        let eigen_all = eigen_strategy_for(&all_norm);
+        let eigen_all = fixed_strategy_engine(eigen_strategy_for(&all_norm));
         sweep(
             &mut table,
             &cfg,
@@ -93,7 +94,7 @@ fn main() {
         let random = RandomRangeWorkload::sample(domain.clone(), count, &mut rng);
         let random_norm = RandomRangeWorkload::from_boxes(domain.clone(), random.boxes().to_vec())
             .into_normalized();
-        let eigen_rand = eigen_strategy_for(&random_norm);
+        let eigen_rand = fixed_strategy_engine(eigen_strategy_for(&random_norm));
         sweep(
             &mut table,
             &cfg,
@@ -120,9 +121,9 @@ fn sweep<W: Workload>(
     ds: &SyntheticDataset,
     workload_name: &str,
     workload: &W,
-    hierarchical: &Strategy,
-    wavelet: &Strategy,
-    eigen: &Strategy,
+    hierarchical: &Engine,
+    wavelet: &Engine,
+    eigen: &Engine,
     epsilons: &[f64],
 ) {
     let data: &DataVector = &ds.data;
@@ -133,8 +134,8 @@ fn sweep<W: Workload>(
             floor: 1.0,
             seed: cfg.seed,
         };
-        let rel = |s: &Strategy| {
-            average_relative_error(workload, s, data, &privacy, &opts)
+        let rel = |engine: &Engine| {
+            average_relative_error(engine, workload, data, privacy, &opts)
                 .map(|r| r.mean)
                 .unwrap_or(f64::NAN)
         };

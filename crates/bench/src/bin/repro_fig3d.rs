@@ -3,14 +3,13 @@
 //! the Eigen-Design strategy (selected on the unit-norm scaled workload).
 
 use mm_bench::report::fmt;
-use mm_bench::runs::eigen_strategy_for;
+use mm_bench::runs::{eigen_strategy_for, fixed_strategy_engine};
 use mm_bench::{ExperimentTable, RunConfig};
-use mm_core::PrivacyParams;
+use mm_core::{Engine, PrivacyParams};
 use mm_data::relative_error::{average_relative_error, RelativeErrorOptions};
 use mm_data::synthetic::{synthetic_histogram, SyntheticDataset};
 use mm_strategies::datacube::datacube_strategy;
 use mm_strategies::fourier::fourier_strategy;
-use mm_strategies::Strategy;
 use mm_workload::marginal::{MarginalKind, MarginalWorkload};
 use mm_workload::Domain;
 use rand::rngs::StdRng;
@@ -103,9 +102,10 @@ fn run(
     normalized: &MarginalWorkload,
     epsilons: &[f64],
 ) {
-    let fourier = fourier_strategy(workload);
-    let datacube = datacube_strategy(workload);
-    let eigen = eigen_strategy_for(normalized);
+    // One engine per strategy, reused across the ε sweep.
+    let fourier = fixed_strategy_engine(fourier_strategy(workload));
+    let datacube = fixed_strategy_engine(datacube_strategy(workload));
+    let eigen = fixed_strategy_engine(eigen_strategy_for(normalized));
     for &eps in epsilons {
         let privacy = PrivacyParams::new(eps, cfg.delta);
         let opts = RelativeErrorOptions {
@@ -113,8 +113,8 @@ fn run(
             floor: 1.0,
             seed: cfg.seed,
         };
-        let rel = |s: &Strategy| {
-            average_relative_error(workload, s, &ds.data, &privacy, &opts)
+        let rel = |engine: &Engine| {
+            average_relative_error(engine, workload, &ds.data, privacy, &opts)
                 .map(|r| r.mean)
                 .unwrap_or(f64::NAN)
         };

@@ -2,8 +2,11 @@
 //!
 //! Benchmark harness reproducing every table and figure of the paper's
 //! evaluation (Sec. 5).  Each `repro_*` binary regenerates one artifact and
-//! prints the same rows/series the paper reports; Criterion benches under
-//! `benches/` time the individual components.
+//! prints the same rows/series the paper reports.  The four benches under
+//! `benches/` each write one committed JSON report that a CI gate reads:
+//! `batch_answering` (`BENCH_batch.json`), `selection_latency`
+//! (`BENCH_selection.json`), `serving_soak` (`BENCH_serving.json`) and
+//! `large_domain` (`BENCH_large_domain.json`).
 //!
 //! Every binary accepts:
 //!

@@ -1,8 +1,9 @@
 //! Shared experiment plumbing for the reproduction binaries.
 
 use mm_core::bounds::{rms_error_bound, workload_eigenvalues};
+use mm_core::engine::FixedStrategySelector;
 use mm_core::error::rms_workload_error;
-use mm_core::{eigen_design, EigenDesignOptions, PrivacyParams};
+use mm_core::{eigen_design, EigenDesignOptions, Engine, GaussianBackend, PrivacyParams};
 use mm_linalg::Matrix;
 use mm_strategies::Strategy;
 use mm_workload::{Domain, Workload};
@@ -142,6 +143,20 @@ pub fn eigen_strategy_for<W: Workload + ?Sized>(workload: &W) -> Strategy {
     eigen_design(&workload.gram(), &opts)
         .expect("eigen design succeeds on non-degenerate workloads")
         .strategy
+}
+
+/// An engine that answers every workload with `strategy`, through the
+/// Gaussian backend (the paper's (ε, δ) instantiation) and the engine's one
+/// release step.  The relative-error sweeps pass it to
+/// [`mm_data::relative_error::average_relative_error`] with per-call
+/// privacy, so one selection, factor and trace term per workload serve the
+/// whole ε sweep.
+pub fn fixed_strategy_engine(strategy: Strategy) -> Engine {
+    Engine::builder()
+        .selector(FixedStrategySelector::new(strategy))
+        .backend(GaussianBackend)
+        .build()
+        .expect("the default privacy parameters suit the Gaussian backend")
 }
 
 #[cfg(test)]

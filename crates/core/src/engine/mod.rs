@@ -740,7 +740,7 @@ impl Engine {
         x: &[f64],
         rng: &mut R,
     ) -> crate::Result<EngineAnswer> {
-        self.answer_dense(workload, None, privacy, &[x], rng, None)
+        self.answer_dense(workload, privacy, &[x], rng, None)
             .map(single)
     }
 
@@ -765,25 +765,7 @@ impl Engine {
         rng: &mut R,
     ) -> crate::Result<Vec<EngineAnswer>> {
         let xs: Vec<&[f64]> = xs.iter().map(AsRef::as_ref).collect();
-        self.answer_dense(workload, None, self.privacy, &xs, rng, None)
-    }
-
-    /// Answers with a caller-provided strategy (e.g. one selected on a
-    /// normalised workload for relative-error objectives, Sec. 3.4).
-    ///
-    /// This path bypasses the strategy cache entirely (the result reports
-    /// `cache_hit == false`): the strategy's gram factor and trace term are
-    /// recomputed per call.  Callers answering the same workload repeatedly
-    /// should prefer [`Engine::answer`], which caches all of that.
-    pub fn answer_with_strategy<W: Workload + ?Sized, R: Rng>(
-        &self,
-        workload: &W,
-        strategy: Arc<Strategy>,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<EngineAnswer> {
-        self.answer_dense(workload, Some(strategy), self.privacy, &[x], rng, None)
-            .map(single)
+        self.answer_dense(workload, self.privacy, &xs, rng, None)
     }
 }
 
@@ -960,6 +942,24 @@ mod tests {
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);
         assert_eq!(stats.store_writes, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unmaterialised_fixed_strategy_is_rejected_typed() {
+        // A pinned strategy without an explicit matrix cannot observe the
+        // data: the dense front fails typed before any noise is drawn.
+        let implicit = Strategy::from_parts("implicit", None, Matrix::identity(4), 1.0, 1.0, 4);
+        let engine = Engine::builder()
+            .selector(FixedStrategySelector::new(implicit))
+            .build()
+            .unwrap();
+        let w = mm_workload::IdentityWorkload::new(4);
+        let mut rng = StdRng::seed_from_u64(9);
+        let err = engine.answer(&w, &[1.0; 4], &mut rng).unwrap_err();
+        assert!(
+            matches!(err, MechanismError::StrategyNotMaterialized(ref name) if name == "implicit"),
+            "{err:?}"
+        );
     }
 
     #[test]

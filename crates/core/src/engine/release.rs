@@ -29,10 +29,8 @@ use crate::accounting::Accountant;
 use crate::privacy::PrivacyParams;
 use crate::MechanismError;
 use mm_linalg::{LinearOperator, Matrix};
-use mm_strategies::Strategy;
 use mm_workload::{StructuredWorkload, Workload};
 use rand::Rng;
-use std::sync::Arc;
 
 impl Engine {
     /// The admission gate every answer path passes before it derives a
@@ -131,10 +129,12 @@ impl Engine {
     /// The dense front, serving dense and low-rank plans, vectorised over
     /// data vectors.
     ///
-    /// Per batch: one admission, one cache lookup (or `strategy`, which
-    /// bypasses the cache), and the cached factor, trace term and noise
-    /// calibration.  The K data vectors become the columns of one matrix
-    /// `X`, and the whole batch runs as a single blocked
+    /// Per batch: one admission, one cache lookup, and the cached factor,
+    /// trace term and noise calibration.  (A caller's own strategy reaches
+    /// this front through a
+    /// [`FixedStrategySelector`](super::FixedStrategySelector) engine, so it
+    /// is cached like any selection.)  The K data vectors become the
+    /// columns of one matrix `X`, and the whole batch runs as a single blocked
     /// `L⁻ᵀ(L⁻¹(Aᵀ(A·X + N)))` pass — mat-mat products and multi-RHS
     /// triangular solves — followed by one `W·X̂` evaluation.  A low-rank
     /// plan runs the identical pass inside its subspace: it observes
@@ -146,7 +146,6 @@ impl Engine {
     pub(crate) fn answer_dense<W: Workload + ?Sized, R: Rng>(
         &self,
         workload: &W,
-        strategy: Option<Arc<Strategy>>,
         privacy: PrivacyParams,
         xs: &[&[f64]],
         rng: &mut R,
@@ -157,17 +156,8 @@ impl Engine {
         // `gram` holds the workload gram only once something has built it:
         // a memoised key on a repeated instance does not.
         let (base, gram) = workload_key(workload)?;
-        let (plan, fingerprint, cache_hit) = match strategy {
-            Some(strategy) => {
-                let entry = CachedSelection::new(strategy);
-                (Arc::new(SelectionPlan::Dense(Arc::new(entry))), base, false)
-            }
-            None => {
-                let fingerprint = self.plan_fingerprint(base, workload.dim());
-                let (plan, hit) = self.select_plan(workload, &gram, fingerprint)?;
-                (plan, fingerprint, hit)
-            }
-        };
+        let fingerprint = self.plan_fingerprint(base, workload.dim());
+        let (plan, cache_hit) = self.select_plan(workload, &gram, fingerprint)?;
         // A low-rank plan's trace term is taken against the projected gram
         // `L̃GL̃ᵀ`; its strategy's sensitivities are those of the end-to-end
         // map `A_sub·L̃`, so the calibration below covers the whole release.

@@ -319,8 +319,10 @@ impl StrategySelector for PureDpSelector {
 }
 
 /// A selector that always returns a fixed, caller-provided strategy
-/// (hierarchical, plain wavelet, identity, …).  Used to run prior-work
-/// baselines through the same engine plumbing as the adaptive selectors.
+/// (hierarchical, plain wavelet, identity, …).  It is the engine's one way
+/// to answer with a caller's strategy — prior-work baselines, or one
+/// selected on a normalised workload (Sec. 3.4) — through the same cache,
+/// release step and ledgers as the adaptive selectors.
 #[derive(Debug, Clone)]
 pub struct FixedStrategySelector {
     strategy: Strategy,

@@ -17,7 +17,6 @@ use super::{single, Engine, EngineAnswer, StructuredAnswer};
 use crate::accounting::{Accountant, MechanismEvent, SequentialAccountant};
 use crate::privacy::PrivacyParams;
 use crate::MechanismError;
-use mm_strategies::Strategy;
 use mm_workload::{StructuredWorkload, Workload};
 use rand::Rng;
 use std::borrow::Borrow;
@@ -210,9 +209,11 @@ impl BudgetLedger {
 ///
 /// *Every* answering method on a session charges its privacy cost to the
 /// ledger as a full [`MechanismEvent`] (backend kind, noise scale,
-/// sensitivity, requested (ε, δ)): [`Session::answer`],
-/// [`Session::answer_with_strategy`] and [`Session::answer_structured`]
-/// charge the engine's per-answer (ε, δ), [`Session::answer_with_privacy`]
+/// sensitivity, requested (ε, δ)): [`Session::answer`] and
+/// [`Session::answer_structured`] charge the engine's per-answer (ε, δ)
+/// (a caller's own strategy is served through an engine built with a
+/// [`FixedStrategySelector`](super::FixedStrategySelector), and charges
+/// the same way), [`Session::answer_with_privacy`]
 /// charges its explicit parameters, and [`Session::answer_batch`] charges
 /// once per data vector, with affordability decided by the accountant's
 /// *composed* post-charge spend (all-or-nothing for the batch).  A call
@@ -292,32 +293,7 @@ impl<E: Borrow<Engine>> Session<E> {
     ) -> crate::Result<EngineAnswer> {
         let engine: &Engine = self.engine.borrow();
         engine
-            .answer_dense(workload, None, privacy, &[x], rng, Some(&mut self.ledger))
-            .map(single)
-    }
-
-    /// Answers with a caller-provided strategy
-    /// ([`Engine::answer_with_strategy`]), charging the engine's per-answer
-    /// (ε, δ) to the ledger like [`Session::answer`] — a custom strategy
-    /// spends exactly as much privacy as a selected one.
-    pub fn answer_with_strategy<W: Workload + ?Sized, R: Rng>(
-        &mut self,
-        workload: &W,
-        strategy: Arc<Strategy>,
-        x: &[f64],
-        rng: &mut R,
-    ) -> crate::Result<EngineAnswer> {
-        let engine: &Engine = self.engine.borrow();
-        let privacy = *engine.privacy();
-        engine
-            .answer_dense(
-                workload,
-                Some(strategy),
-                privacy,
-                &[x],
-                rng,
-                Some(&mut self.ledger),
-            )
+            .answer_dense(workload, privacy, &[x], rng, Some(&mut self.ledger))
             .map(single)
     }
 
@@ -350,7 +326,7 @@ impl<E: Borrow<Engine>> Session<E> {
         let xs: Vec<&[f64]> = xs.iter().map(AsRef::as_ref).collect();
         let engine: &Engine = self.engine.borrow();
         let privacy = *engine.privacy();
-        engine.answer_dense(workload, None, privacy, &xs, rng, Some(&mut self.ledger))
+        engine.answer_dense(workload, privacy, &xs, rng, Some(&mut self.ledger))
     }
 }
 
@@ -456,37 +432,35 @@ mod tests {
     }
 
     #[test]
-    fn answer_with_strategy_charges_the_ledger() {
-        // Regression: custom-strategy answers used to be reachable only via
-        // `session.engine().answer_with_strategy(...)`, which spends privacy
-        // without charging the ledger.  The session-level method charges the
-        // engine's per-answer (ε, δ) exactly like `answer`.
+    fn fixed_strategy_answers_charge_the_ledger() {
+        // A caller's own strategy is served by a `FixedStrategySelector`
+        // engine, and `Session::answer` charges the engine's per-answer
+        // (ε, δ) for it exactly as for a selected strategy.
+        use crate::engine::FixedStrategySelector;
         use mm_strategies::identity::identity_strategy;
         use mm_workload::IdentityWorkload;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
         let p = PrivacyParams::new(0.5, 1e-4);
-        let engine = Engine::builder().privacy(p).build().unwrap();
+        let engine = Engine::builder()
+            .privacy(p)
+            .selector(FixedStrategySelector::new(identity_strategy(8)))
+            .build()
+            .unwrap();
         let w = IdentityWorkload::new(8);
         let x = vec![3.0; 8];
-        let strategy = Arc::new(identity_strategy(8));
         let mut rng = StdRng::seed_from_u64(21);
 
         let mut session = engine.session(PrivacyBudget::new(1.0, 1e-3));
-        session
-            .answer_with_strategy(&w, strategy.clone(), &x, &mut rng)
-            .unwrap();
+        let first = session.answer(&w, &x, &mut rng).unwrap();
+        assert_eq!(first.strategy.name(), identity_strategy(8).name());
         assert!(approx_eq(session.ledger().spent().epsilon, 0.5, 1e-12));
         assert!(approx_eq(session.ledger().spent().delta, 1e-4, 1e-15));
-        session
-            .answer_with_strategy(&w, strategy.clone(), &x, &mut rng)
-            .unwrap();
+        session.answer(&w, &x, &mut rng).unwrap();
         // Third answer does not fit (ε budget 1.0, spend 1.0) and fails
         // closed before answering.
-        let err = session
-            .answer_with_strategy(&w, strategy, &x, &mut rng)
-            .unwrap_err();
+        let err = session.answer(&w, &x, &mut rng).unwrap_err();
         assert!(matches!(err, MechanismError::BudgetExhausted { .. }));
         assert_eq!(session.ledger().charges().len(), 2);
     }

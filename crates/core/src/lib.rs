@@ -8,9 +8,8 @@
 //!
 //! * [`privacy`] — privacy parameters, the Gaussian/Laplace noise calibration
 //!   and the error constant `P(ε,δ)`;
-//! * [`sensitivity`] — L1/L2 query-matrix sensitivity (Prop. 1);
-//! * [`mechanism`] — the Gaussian, Laplace and matrix mechanisms (Props. 2–3),
-//!   including the least-squares inference step;
+//! * [`mechanism`] — the noise backends: the Gaussian (Prop. 2) and Laplace
+//!   calibrations and samplers behind one [`NoiseBackend`] trait;
 //! * [`error`] — the analytic workload error of Prop. 4 / Def. 5;
 //! * [`bounds`] — the singular value lower bound (Thm. 2) and the
 //!   approximation ratio bound (Thm. 3);
@@ -53,7 +52,6 @@ pub mod mechanism;
 pub mod principal;
 pub mod privacy;
 pub mod pure_dp;
-pub mod sensitivity;
 pub mod separation;
 
 pub use accounting::{

@@ -6,10 +6,12 @@
 //! how the noise scale is calibrated (Prop. 2 vs. the Laplace mechanism), and
 //! the per-unit-sensitivity noise variance entering the error formula
 //! (`P(ε,δ) = 2 ln(2/δ)/ε²` vs. `2/ε²`, Prop. 4 / Sec. 3.5).  A
-//! [`NoiseBackend`] packages those three choices behind an object-safe trait
-//! so that [`MatrixMechanism`](crate::mechanism::MatrixMechanism) and the
-//! serving [`Engine`](crate::engine::Engine) can run either mechanism through
-//! one code path, and callers can swap backends with one builder call.
+//! [`NoiseBackend`] packages those three choices, and the sampler, behind an
+//! object-safe trait so that the serving [`Engine`](crate::engine::Engine)'s
+//! one release step runs either mechanism, and callers can swap backends
+//! with one builder call.  That release step is the only production caller
+//! of [`NoiseBackend::sample`]: it checks the ledger before the draw and
+//! charges it after inference.
 
 use crate::accounting::MechanismEvent;
 use crate::mechanism::noise::{gaussian_noise, laplace_noise};

@@ -1,14 +1,13 @@
-//! Differentially private mechanisms: the Gaussian and Laplace primitives,
-//! the pluggable [`backend::NoiseBackend`] abstraction, and the matrix
-//! mechanism with least-squares inference.
+//! The noise backends: the (ε,δ)-Gaussian and ε-Laplace instantiations of
+//! the matrix mechanism behind one [`backend::NoiseBackend`] trait.
+//!
+//! A backend supplies the sensitivity norm, the noise calibration, the error
+//! constant and the sampler; the engine's release step
+//! ([`Engine`](crate::engine::Engine)) is the only production code that
+//! calls the sampler.  The float samplers themselves are private to this
+//! module.
 
 pub mod backend;
-pub mod gaussian;
-pub mod laplace;
-pub mod matrix;
-pub mod noise;
+mod noise;
 
 pub use backend::{default_backend, GaussianBackend, LaplaceBackend, NoiseBackend};
-pub use gaussian::GaussianMechanism;
-pub use laplace::LaplaceMechanism;
-pub use matrix::MatrixMechanism;

@@ -1,4 +1,5 @@
-//! Noise sampling primitives.
+//! Noise sampling primitives, private to the mechanism module: the two
+//! [`NoiseBackend`](super::NoiseBackend) implementations are their only callers.
 
 use rand::Rng;
 

@@ -6,9 +6,9 @@
 //! US-Census (IPUMS) and UCI Adult datasets, which are not redistributable
 //! here; [`synthetic`] provides seeded generators that produce histograms of
 //! the same shape, scale and skew (see `DESIGN.md` for the substitution
-//! argument).  [`relative_error`] runs the matrix mechanism end to end on a
-//! data vector and measures the average relative error of the workload
-//! answers, exactly as the experiments require.
+//! argument).  [`relative_error`] answers a workload on a data vector through
+//! a caller's engine and measures the average relative error of the answers,
+//! exactly as the experiments require.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,11 +11,17 @@
 //!
 //! with a small floor (sanity bound) preventing division by zero on empty
 //! queries, averaged over repeated noise draws.
+//!
+//! Every trial is one answer of the [`Engine`] the caller passes in, so the
+//! harness measures exactly what the engine releases.  To measure a given
+//! strategy (a prior-work baseline, or one selected on the normalised
+//! workload, Sec. 3.4), pin it with a
+//! [`FixedStrategySelector`](mm_core::engine::FixedStrategySelector) engine;
+//! reusing that engine across a privacy sweep selects, factors and computes
+//! the trace term once.
 
 use crate::data_vector::DataVector;
-use mm_core::mechanism::MatrixMechanism;
-use mm_core::PrivacyParams;
-use mm_strategies::Strategy;
+use mm_core::{Engine, PrivacyParams};
 use mm_workload::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,12 +61,16 @@ pub struct RelativeErrorReport {
 }
 
 /// Evaluates the average relative error of answering `workload` on `data`
-/// with the matrix mechanism configured with `strategy`.
+/// with `engine` at `privacy`: `opts.trials` answers through
+/// [`Engine::answer_with_privacy`], on one rng seeded with `opts.seed`.
+///
+/// The data vector is checked against the workload (and `privacy` against
+/// the engine's backend) before any answer is evaluated.
 pub fn average_relative_error<W: Workload + ?Sized>(
+    engine: &Engine,
     workload: &W,
-    strategy: &Strategy,
     data: &DataVector,
-    privacy: &PrivacyParams,
+    privacy: PrivacyParams,
     opts: &RelativeErrorOptions,
 ) -> mm_core::Result<RelativeErrorReport> {
     if opts.trials == 0 {
@@ -68,15 +78,15 @@ pub fn average_relative_error<W: Workload + ?Sized>(
             "at least one trial is required".into(),
         ));
     }
-    let mechanism = MatrixMechanism::new(strategy.clone(), *privacy)?;
     let x = data.counts();
+    engine.admit(workload, &[x], &privacy, None)?;
     let truth = workload.evaluate(x);
     let m = truth.len();
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut per_query = vec![0.0; m];
     for _ in 0..opts.trials {
-        let (answers, _) = mechanism.answer_workload(workload, x, &mut rng)?;
-        for ((t, a), acc) in truth.iter().zip(answers.iter()).zip(per_query.iter_mut()) {
+        let answer = engine.answer_with_privacy(workload, privacy, x, &mut rng)?;
+        for ((t, a), acc) in truth.iter().zip(&answer.answers).zip(&mut per_query) {
             *acc += (a - t).abs() / t.abs().max(opts.floor);
         }
     }
@@ -103,8 +113,11 @@ pub fn average_relative_error<W: Workload + ?Sized>(
 mod tests {
     use super::*;
     use crate::synthetic::synthetic_histogram;
+    use mm_core::engine::FixedStrategySelector;
+    use mm_core::MechanismError;
     use mm_strategies::identity::identity_strategy;
     use mm_strategies::wavelet::wavelet_strategy;
+    use mm_strategies::Strategy;
     use mm_workload::range::AllRangeWorkload;
     use mm_workload::Domain;
 
@@ -112,17 +125,24 @@ mod tests {
         synthetic_histogram(&Domain::new(&[8, 8]), 100_000.0, 1.0, 3, 1)
     }
 
+    fn fixed(strategy: Strategy) -> Engine {
+        Engine::builder()
+            .selector(FixedStrategySelector::new(strategy))
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn relative_error_decreases_with_epsilon() {
         let data = small_dataset();
         let w = AllRangeWorkload::new(data.domain().clone());
-        let strategy = wavelet_strategy(data.domain());
+        let engine = fixed(wavelet_strategy(data.domain()));
         let opts = RelativeErrorOptions::default();
         let loose =
-            average_relative_error(&w, &strategy, &data, &PrivacyParams::new(2.0, 1e-4), &opts)
+            average_relative_error(&engine, &w, &data, PrivacyParams::new(2.0, 1e-4), &opts)
                 .unwrap();
         let tight =
-            average_relative_error(&w, &strategy, &data, &PrivacyParams::new(0.1, 1e-4), &opts)
+            average_relative_error(&engine, &w, &data, PrivacyParams::new(0.1, 1e-4), &opts)
                 .unwrap();
         assert!(
             tight.mean > loose.mean,
@@ -142,9 +162,10 @@ mod tests {
             trials: 3,
             ..Default::default()
         };
-        let wav =
-            average_relative_error(&w, &wavelet_strategy(data.domain()), &data, &p, &opts).unwrap();
-        let id = average_relative_error(&w, &identity_strategy(64), &data, &p, &opts).unwrap();
+        let wavelet = fixed(wavelet_strategy(data.domain()));
+        let wav = average_relative_error(&wavelet, &w, &data, p, &opts).unwrap();
+        let id =
+            average_relative_error(&fixed(identity_strategy(64)), &w, &data, p, &opts).unwrap();
         assert!(
             wav.mean < id.mean,
             "wavelet {} vs identity {}",
@@ -162,9 +183,9 @@ mod tests {
             trials: 2,
             ..Default::default()
         };
-        let s = wavelet_strategy(data.domain());
-        let a = average_relative_error(&w, &s, &data, &p, &opts).unwrap();
-        let b = average_relative_error(&w, &s, &data, &p, &opts).unwrap();
+        let engine = fixed(wavelet_strategy(data.domain()));
+        let a = average_relative_error(&engine, &w, &data, p, &opts).unwrap();
+        let b = average_relative_error(&engine, &w, &data, p, &opts).unwrap();
         assert_eq!(a.mean, b.mean);
         assert_eq!(a.median, b.median);
     }
@@ -178,6 +199,101 @@ mod tests {
             trials: 0,
             ..Default::default()
         };
-        assert!(average_relative_error(&w, &identity_strategy(64), &data, &p, &opts).is_err());
+        let engine = fixed(identity_strategy(64));
+        assert!(average_relative_error(&engine, &w, &data, p, &opts).is_err());
+    }
+
+    #[test]
+    fn wrong_length_data_is_rejected_before_any_answer() {
+        // The length is checked before the true answers are evaluated:
+        // `Workload::evaluate` asserts on it and would panic.
+        let data = synthetic_histogram(&Domain::one_dim(16), 1_000.0, 1.0, 3, 1);
+        let w = AllRangeWorkload::new(Domain::one_dim(8));
+        let engine = fixed(identity_strategy(8));
+        let p = PrivacyParams::new(0.5, 1e-4);
+        let err = average_relative_error(&engine, &w, &data, p, &RelativeErrorOptions::default())
+            .unwrap_err();
+        match err {
+            MechanismError::InvalidArgument(msg) => assert_eq!(
+                msg, "data vector has 16 cells but the workload covers 8",
+                "{msg}"
+            ),
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.cache_hits + stats.cache_misses, 0, "nothing answered");
+    }
+
+    #[test]
+    fn zero_noise_limit_recovers_exact_answers() {
+        // At a huge ε the engine's noise is negligible, so the harness
+        // measures only the least-squares round trip.
+        let data = small_dataset();
+        let w = AllRangeWorkload::new(data.domain().clone());
+        let engine = fixed(wavelet_strategy(data.domain()));
+        let opts = RelativeErrorOptions::default();
+        let report =
+            average_relative_error(&engine, &w, &data, PrivacyParams::new(1e9, 1e-4), &opts)
+                .unwrap();
+        assert!(report.mean < 1e-8, "mean relative error {}", report.mean);
+        assert!(
+            report.median < 1e-8,
+            "median relative error {}",
+            report.median
+        );
+    }
+
+    #[test]
+    fn a_privacy_sweep_shares_one_selection() {
+        // Five ε values, two trials each, on one engine: one miss selects
+        // (and factors) the strategy, the other nine answers hit the cache.
+        let data = small_dataset();
+        let w = AllRangeWorkload::new(data.domain().clone());
+        let engine = fixed(wavelet_strategy(data.domain()));
+        let opts = RelativeErrorOptions {
+            trials: 2,
+            ..Default::default()
+        };
+        for eps in [0.1, 0.25, 0.5, 1.0, 2.5] {
+            average_relative_error(&engine, &w, &data, PrivacyParams::new(eps, 1e-4), &opts)
+                .unwrap();
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.selections, 1);
+        assert_eq!(stats.cache_misses, 1);
+        assert_eq!(stats.cache_hits, 9);
+    }
+
+    #[test]
+    fn trials_are_the_engines_answers() {
+        // The harness draws no noise of its own: its per-query errors are
+        // those of the engine's answers on an rng seeded with `opts.seed`.
+        let data = small_dataset();
+        let w = AllRangeWorkload::new(data.domain().clone());
+        let engine = fixed(wavelet_strategy(data.domain()));
+        let p = PrivacyParams::new(0.5, 1e-4);
+        let opts = RelativeErrorOptions {
+            trials: 3,
+            floor: 1.0,
+            seed: 17,
+        };
+        let report = average_relative_error(&engine, &w, &data, p, &opts).unwrap();
+
+        let x = data.counts();
+        let truth = w.evaluate(x);
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let mut per_query = vec![0.0; truth.len()];
+        for _ in 0..opts.trials {
+            let answer = engine.answer_with_privacy(&w, p, x, &mut rng).unwrap();
+            for ((t, a), acc) in truth.iter().zip(&answer.answers).zip(&mut per_query) {
+                *acc += (a - t).abs() / t.abs().max(opts.floor);
+            }
+        }
+        let mean = per_query
+            .iter()
+            .map(|v| v / opts.trials as f64)
+            .sum::<f64>()
+            / truth.len() as f64;
+        assert_eq!(report.mean.to_bits(), mean.to_bits());
     }
 }

@@ -79,12 +79,13 @@ pub trait Workload {
     ///
     /// The default builds the gram on every call, so it always returns
     /// `Some`.  Workloads whose gram is fixed at construction
-    /// ([`range::AllRangeWorkload`], [`marginal::MarginalWorkload`])
-    /// memoise the fingerprint per instance: the first call builds the gram
-    /// and returns it, every later call returns the memo and `None`.  A
-    /// caller that needs the gram after `None` builds it itself, so repeated
-    /// requests on one instance — warm cache hits — build no gram at all,
-    /// and a first request hands the gram it hashed on to its selection.
+    /// ([`range::AllRangeWorkload`], [`range::RandomRangeWorkload`],
+    /// [`marginal::MarginalWorkload`]) memoise the fingerprint per
+    /// instance: the first call builds the gram and returns it, every later
+    /// call returns the memo and `None`.  A caller that needs the gram after
+    /// `None` builds it itself, so repeated requests on one instance — warm
+    /// cache hits — build no gram at all, and a first request hands the gram
+    /// it hashed on to its selection.
     ///
     /// An override must return exactly `try_gram_fingerprint(&self.gram())`:
     /// the value keys the engine's cache and store, where equal grams share

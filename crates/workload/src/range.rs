@@ -292,6 +292,7 @@ pub struct RandomRangeWorkload {
     domain: Domain,
     boxes: Vec<RangeBox>,
     normalized: bool,
+    fingerprint: FingerprintMemo,
 }
 
 impl RandomRangeWorkload {
@@ -314,6 +315,7 @@ impl RandomRangeWorkload {
             domain,
             boxes,
             normalized: false,
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
@@ -327,12 +329,14 @@ impl RandomRangeWorkload {
             domain,
             boxes,
             normalized: false,
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
     /// Returns a unit-norm scaled copy of the workload.
     pub fn into_normalized(mut self) -> Self {
         self.normalized = true;
+        self.fingerprint = FingerprintMemo::default();
         self
     }
 
@@ -404,6 +408,10 @@ impl Workload for RandomRangeWorkload {
             }
         }
         g
+    }
+
+    fn try_fingerprint(&self) -> Result<(Fingerprint, Option<Matrix>), NanGramEntry> {
+        self.fingerprint.get_or_derive(|| self.gram())
     }
 
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {
@@ -709,6 +717,19 @@ mod tests {
             assert_eq!(cloned, expected);
             assert!(none.is_none());
         }
+        // Random ranges memoise too, and normalising resets the memo.
+        let mut rng = StdRng::seed_from_u64(5);
+        let w = RandomRangeWorkload::sample(Domain::new(&[4, 6]), 9, &mut rng);
+        let expected = try_gram_fingerprint(&w.gram()).unwrap();
+        assert!(w.try_fingerprint().unwrap().1.is_some());
+        let (again, none) = w.try_fingerprint().unwrap();
+        assert_eq!(again, expected);
+        assert!(none.is_none(), "a repeated call builds no gram");
+        let normalized = w.into_normalized();
+        let (key, gram) = normalized.try_fingerprint().unwrap();
+        assert!(gram.is_some(), "normalising resets the memo");
+        assert_eq!(key, try_gram_fingerprint(&normalized.gram()).unwrap());
+        assert_ne!(key, expected);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example census_marginals`
 
 use adaptive_dp::core::bounds::{rms_error_bound, workload_eigenvalues};
-use adaptive_dp::core::engine::{Engine, PrivacyBudget};
+use adaptive_dp::core::engine::{Engine, FixedStrategySelector, PrivacyBudget};
 use adaptive_dp::core::error::rms_workload_error;
 use adaptive_dp::core::PrivacyParams;
 use adaptive_dp::data::relative_error::{average_relative_error, RelativeErrorOptions};
@@ -61,7 +61,8 @@ fn main() {
     }
 
     // Relative error on the actual histogram (normalised workload drives the
-    // strategy selection, per Sec. 3.4).
+    // strategy selection, per Sec. 3.4).  Each strategy answers through an
+    // engine pinned to it.
     let normalized =
         MarginalWorkload::up_to_k_way(domain, 2, MarginalKind::Point).into_normalized();
     let (rel_strategy, _, _) = engine.select(&normalized).unwrap();
@@ -76,7 +77,12 @@ fn main() {
         ("datacube", &datacube),
         ("eigen design", rel_strategy.as_ref()),
     ] {
-        let rep = average_relative_error(&workload, strategy, &data, &privacy, &opts).unwrap();
+        let fixed = Engine::builder()
+            .privacy(privacy)
+            .selector(FixedStrategySelector::new(strategy.clone()))
+            .build()
+            .unwrap();
+        let rep = average_relative_error(&fixed, &workload, &data, privacy, &opts).unwrap();
         println!(
             "  {name:12} mean {:>8.5}  median {:>8.5}",
             rep.mean, rep.median

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example range_analysis`
 
-use adaptive_dp::core::engine::Engine;
+use adaptive_dp::core::engine::{Engine, FixedStrategySelector};
 use adaptive_dp::core::PrivacyParams;
 use adaptive_dp::data::relative_error::{average_relative_error, RelativeErrorOptions};
 use adaptive_dp::data::synthetic::synthetic_histogram;
@@ -53,7 +53,13 @@ fn main() {
         ("wavelet", &wavelet),
         ("eigen design", eigen.as_ref()),
     ] {
-        let rep = average_relative_error(&workload, strategy, &data, &privacy, &opts).unwrap();
+        // Each strategy answers through an engine pinned to it.
+        let fixed = Engine::builder()
+            .privacy(privacy)
+            .selector(FixedStrategySelector::new(strategy.clone()))
+            .build()
+            .unwrap();
+        let rep = average_relative_error(&fixed, &workload, &data, privacy, &opts).unwrap();
         println!(
             "  {name:12} mean {:>9.5}   median {:>9.5}   ({} trials, {} queries)",
             rep.mean, rep.median, rep.trials, rep.queries

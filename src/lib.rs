@@ -13,10 +13,11 @@
 //! * [`strategies`] — prior-work strategies (identity, hierarchical, wavelet,
 //!   Fourier, DataCube);
 //! * [`core`] — the serving `Engine` (strategy selection — dense, low-rank
-//!   and structured, unified behind one `SelectionPlan` — noise backends,
-//!   plan caching and persistence, budgeted sessions), the matrix mechanism,
-//!   error analysis, the Eigen-Design algorithm (Program 2) and the
-//!   performance optimizations of Sec. 4;
+//!   and structured, unified behind one `SelectionPlan` — plan caching and
+//!   persistence, budgeted sessions, and the one release step that draws
+//!   noise through the Gaussian or Laplace backend), error analysis, the
+//!   Eigen-Design algorithm (Program 2) and the performance optimizations
+//!   of Sec. 4;
 //! * [`serve`] — the async serving tier: executor-agnostic futures over the
 //!   engine, bounded admission, per-principal shared budgets, and (via
 //!   [`core::engine::Engine::builder`]'s `strategy_store`) persistent
