@@ -43,6 +43,7 @@
 
 use super::plan::SelectionPlan;
 use mm_linalg::decomp::Cholesky;
+use mm_linalg::ops::RowSpans;
 use mm_linalg::Matrix;
 use mm_strategies::Strategy;
 use mm_workload::Fingerprint;
@@ -52,16 +53,28 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 /// Default number of independently locked cache shards.
 pub const DEFAULT_SHARD_COUNT: usize = 8;
 
-/// A cached selection: the strategy plus two lazily computed, data- and
-/// privacy-independent derived quantities — the Cholesky factor of the
-/// strategy gram (used by least-squares inference) and the Prop. 4 trace term
-/// `trace(WᵀW (AᵀA)⁻¹)` against the workload the entry was selected for.
-/// Both are O(n³); caching them makes a cache-hit `answer` skip *all*
-/// repeated cubic work and pay only the O(n²) mechanism run.
+/// A cached selection: the strategy plus three lazily computed, data- and
+/// privacy-independent derived quantities:
+///
+/// * the Cholesky factor of the strategy gram, used by least-squares
+///   inference, with `Lᵀ` mirrored into its upper triangle so both
+///   triangular solves read rows;
+/// * the Prop. 4 trace term `trace(WᵀW (AᵀA)⁻¹)` against the workload the
+///   entry was selected for;
+/// * the [`RowSpans`] of the strategy matrix, one nonzero extent per row,
+///   which the answer's `A·X` and `AᵀY` are clipped to.
+///
+/// The factor and the trace term are O(n³); caching them makes a cache-hit
+/// `answer` skip *all* repeated cubic work and pay only the O(n²) mechanism
+/// run.  The spans are one O(pn) scan; caching them lets that run read only
+/// nonzeros (half of a Program 2 strategy's rows hold a single entry).  A
+/// store persists the factor and the trace term, not the spans: a loaded
+/// entry scans its matrix again on its first answer.
 #[derive(Debug)]
 pub struct CachedSelection {
     strategy: Arc<Strategy>,
     factor: OnceLock<Arc<Cholesky>>,
+    spans: OnceLock<Option<RowSpans>>,
     trace: OnceLock<f64>,
 }
 
@@ -72,6 +85,7 @@ impl CachedSelection {
         CachedSelection {
             strategy,
             factor: OnceLock::new(),
+            spans: OnceLock::new(),
             trace: OnceLock::new(),
         }
     }
@@ -102,6 +116,15 @@ impl CachedSelection {
         }
         let computed = Arc::new(crate::error::strategy_factor(&self.strategy)?);
         Ok(self.factor.get_or_init(|| computed).clone())
+    }
+
+    /// The nonzero extent of each row of the strategy matrix, scanned on
+    /// first call and shared afterwards; `None` when the strategy is not
+    /// materialised.
+    pub(crate) fn row_spans(&self) -> Option<&RowSpans> {
+        self.spans
+            .get_or_init(|| self.strategy.matrix().map(RowSpans::of))
+            .as_ref()
     }
 
     /// The trace term `trace(WᵀW (AᵀA)⁻¹)` of the error formula, computed on

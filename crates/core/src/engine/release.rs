@@ -28,6 +28,7 @@ use super::{workload_key, CachedSelection, Engine, EngineAnswer, StructuredAnswe
 use crate::accounting::Accountant;
 use crate::privacy::PrivacyParams;
 use crate::MechanismError;
+use mm_linalg::ops::{matmul_spans, matmul_transpose_left_spans};
 use mm_linalg::{LinearOperator, Matrix};
 use mm_workload::{StructuredWorkload, Workload};
 use rand::Rng;
@@ -140,9 +141,11 @@ impl Engine {
     /// plan runs the identical pass inside its subspace: it observes
     /// `A_sub·(L̃·X)` and recombines the estimate as `X̂ = L̃ᵀ·Ẑ`.
     ///
-    /// Every kernel in the pass is column-wise bit-identical across widths,
-    /// so a single answer is exactly the K = 1 batch, and a batch equals K
-    /// sequential answers on the same rng, byte for byte.
+    /// `A·X` and `AᵀY` read only the strategy's nonzeros, through the row
+    /// spans the entry caches beside its factor.  Every kernel in the pass
+    /// is column-wise bit-identical across widths, so a single answer is
+    /// exactly the K = 1 batch, and a batch equals K sequential answers on
+    /// the same rng, byte for byte.
     pub(crate) fn answer_dense<W: Workload + ?Sized, R: Rng>(
         &self,
         workload: &W,
@@ -183,9 +186,9 @@ impl Engine {
                 workload.dim()
             )));
         }
-        let a = strategy
-            .matrix()
-            .ok_or_else(|| MechanismError::StrategyNotMaterialized(strategy.name().to_string()))?;
+        let unmaterialized =
+            || MechanismError::StrategyNotMaterialized(strategy.name().to_string());
+        let a = strategy.matrix().ok_or_else(unmaterialized)?;
         // An empty batch is valid and does no per-vector work (the cached
         // factor and trace term are not even materialised).
         let k = xs.len();
@@ -201,6 +204,11 @@ impl Engine {
             trace_gram.unwrap_or_else(|| gram.get_or_init(|| workload.gram()))
         })?;
         let tse = self.backend.error_constant(&privacy)? * sens * sens * trace;
+        // Scanned after the factor and trace term, whose n×n temporaries
+        // are freed by now: allocated before them, this small buffer split
+        // the space they return, and warm_dense's peak RSS rose by one
+        // n×n buffer (8 MB at n = 1024).
+        let spans = entry.row_spans().ok_or_else(unmaterialized)?;
         let m = workload.query_count();
         let expected_rms_error = (tse / m as f64).sqrt();
         let estimates = self.release(
@@ -212,12 +220,12 @@ impl Engine {
             || {
                 let x = Matrix::from_fn(dim, k, |i, c| xs[c][i]);
                 Ok(match basis {
-                    Some(b) => a.matmul(&b.matmul(&x)?)?,
-                    None => a.matmul(&x)?,
+                    Some(b) => matmul_spans(a, spans, &b.matmul(&x)?)?,
+                    None => matmul_spans(a, spans, &x)?,
                 })
             },
             |y| {
-                let aty = a.matmul_transpose_left(&y)?;
+                let aty = matmul_transpose_left_spans(a, spans, &y)?;
                 let solved = factor.solve_upper_multi(&factor.solve_lower_multi(&aty)?)?;
                 Ok(match basis {
                     Some(b) => b.matmul_transpose_left(&solved)?,

@@ -100,7 +100,7 @@ fn encode_dense_fields(out: &mut Vec<u8>, e: &CachedSelection, factor: &Cholesky
         None => out.push(0),
     }
     entry::push_matrix(out, strategy.gram());
-    entry::push_matrix(out, factor.l());
+    entry::push_matrix(out, &factor.l());
     entry::push_f64(out, trace);
 }
 

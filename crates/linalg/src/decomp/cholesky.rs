@@ -12,6 +12,29 @@
 //! [`Cholesky::new_scalar`] only by floating-point reassociation, which the
 //! test-suite cross-validates the same way `jacobi` cross-validates the
 //! symmetric eigensolver.
+//!
+//! # Storage
+//!
+//! A [`Cholesky`] keeps one row-major n×n buffer.  `L` fills the diagonal
+//! and the lower triangle, and every constructor mirrors `Lᵀ` into the
+//! strict upper triangle, which `L` leaves zero.  Both triangular solves
+//! then read rows: the forward solve `L y = b` reads row `i` left of the
+//! diagonal, the backward solve `Lᵀ x = y` reads row `i` right of it
+//! (column `i` of `L`).  The mirror costs no second n×n buffer;
+//! [`Cholesky::l`] returns a copy with the upper triangle masked to zero,
+//! which only the strategy store and tests read.
+//!
+//! # Four chains at width 1
+//!
+//! At width 1 the forward solve advances four rows, `i` to `i + 3`,
+//! together.  First they subtract their terms `j < i`, all known, as four
+//! independent chains that load each `y[j]` once.  Then the in-block terms
+//! run in ascending order, each row finishing before the next needs it.
+//! Every row thus subtracts its terms in ascending `j`, zero factors
+//! skipped, exactly as a row-at-a-time loop does, so the bits do not
+//! change.  The backward solve stays one row at a time: row `i`'s sum
+//! starts at `j = i + 1`, inside any block of rows solved together, so
+//! interleaving rows would reorder it.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
@@ -22,11 +45,15 @@ use crate::ops;
 /// L1-resident while the trailing rows stream through.
 pub const CHOLESKY_BLOCK: usize = 64;
 
-/// A Cholesky factorization holding the lower-triangular factor `L`.
+/// A Cholesky factorization holding the lower-triangular factor `L`, with
+/// `Lᵀ` mirrored into its strict upper triangle (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Cholesky {
     l: Matrix,
 }
+
+/// Rows the width-1 forward solve advances together (see the module docs).
+const CHAINS: usize = 4;
 
 impl Cholesky {
     /// Factors a symmetric positive definite matrix with the blocked
@@ -86,7 +113,7 @@ impl Cholesky {
             // Trailing update: A₂₂ ← A₂₂ − L₂₁ L₂₁ᵀ (lower triangle only).
             ops::syrk_sub_lower(&mut l, &panel, k1).expect("panel shape matches trailing block");
         }
-        Ok(Cholesky { l })
+        Ok(Cholesky::mirrored(l))
     }
 
     /// Factors a symmetric positive definite matrix with the textbook
@@ -134,7 +161,7 @@ impl Cholesky {
                 l[(i, j)] = s / dj;
             }
         }
-        Ok(Cholesky { l })
+        Ok(Cholesky::mirrored(l))
     }
 
     /// Reassembles a factorization from a previously computed
@@ -171,12 +198,37 @@ impl Cholesky {
                 }
             }
         }
-        Ok(Cholesky { l })
+        Ok(Cholesky::mirrored(l))
     }
 
-    /// Returns the lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
+    /// Wraps a lower-triangular `l` (zero strict upper triangle) after
+    /// mirroring `Lᵀ` into that triangle, tile by tile so the rows read and
+    /// the rows written both stay cache-resident.
+    fn mirrored(mut l: Matrix) -> Self {
+        const TILE: usize = 32;
+        let n = l.rows();
+        let data = l.as_mut_slice();
+        for i0 in (0..n).step_by(TILE) {
+            for j0 in (i0..n).step_by(TILE) {
+                for i in i0..(i0 + TILE).min(n) {
+                    for j in j0.max(i + 1)..(j0 + TILE).min(n) {
+                        data[i * n + j] = data[j * n + i];
+                    }
+                }
+            }
+        }
+        Cholesky { l }
+    }
+
+    /// Returns the lower-triangular factor `L`: a copy of the factor's
+    /// buffer with the strict upper triangle, which holds the mirrored `Lᵀ`,
+    /// set to zero.
+    pub fn l(&self) -> Matrix {
+        let mut l = self.l.clone();
+        for i in 0..l.rows() {
+            l.row_mut(i)[i + 1..].fill(0.0);
+        }
+        l
     }
 
     /// Dimension of the factored matrix.
@@ -235,19 +287,16 @@ impl Cholesky {
         }
         let data = x.as_mut_slice();
         // Width-1 fast path: the same sequential eliminations (j ascending,
-        // zero factors skipped) in a register, without per-j slicing — so a
-        // single right-hand side stays bit-identical to a width-1 solve.
+        // zero factors skipped) in registers, four rows at a time (see the
+        // module docs) — so a single right-hand side stays bit-identical to
+        // a width-1 solve.
         if k == 1 {
-            for i in 0..n {
-                let l_row = self.l.row(i);
-                let mut v = data[i];
-                for (j, &lij) in l_row[..i].iter().enumerate() {
-                    if lij == 0.0 {
-                        continue;
-                    }
-                    v -= lij * data[j];
-                }
-                data[i] = v / l_row[i];
+            let blocks = n / CHAINS * CHAINS;
+            for i in (0..blocks).step_by(CHAINS) {
+                forward_rows::<CHAINS>(&self.l, data, i);
+            }
+            for i in blocks..n {
+                forward_rows::<1>(&self.l, data, i);
             }
             return Ok(x);
         }
@@ -291,37 +340,37 @@ impl Cholesky {
             return Ok(x);
         }
         let data = x.as_mut_slice();
-        // Width-1 fast path (see `solve_lower_multi`): identical elimination
-        // sequence, register accumulation.
+        // Row i of Lᵀ is column i of L below the diagonal, mirrored into
+        // row i right of the diagonal: one contiguous read per row.
+        // Width-1 fast path: identical elimination sequence, register
+        // accumulation.
         if k == 1 {
             for i in (0..n).rev() {
-                let mut v = data[i];
-                for (j, &xj) in data.iter().enumerate().skip(i + 1) {
-                    let lji = self.l[(j, i)];
-                    if lji == 0.0 {
-                        continue;
+                let row = self.l.row(i);
+                let (head, tail) = data.split_at_mut(i + 1);
+                let mut v = head[i];
+                for (&lji, &xj) in row[i + 1..].iter().zip(tail.iter()) {
+                    if lji != 0.0 {
+                        v -= lji * xj;
                     }
-                    v -= lji * xj;
                 }
-                data[i] = v / self.l[(i, i)];
+                head[i] = v / row[i];
             }
             return Ok(x);
         }
         for i in (0..n).rev() {
+            let row = self.l.row(i);
             let (head, tail) = data.split_at_mut((i + 1) * k);
             let xi = &mut head[i * k..];
-            // Row i of Lᵀ is column i of L below the diagonal.
-            for j in (i + 1)..n {
-                let lji = self.l[(j, i)];
+            for (&lji, xj) in row[i + 1..].iter().zip(tail.chunks_exact(k)) {
                 if lji == 0.0 {
                     continue;
                 }
-                let xj = &tail[(j - i - 1) * k..(j - i) * k];
                 for (a, &b) in xi.iter_mut().zip(xj.iter()) {
                     *a -= lji * b;
                 }
             }
-            let d = self.l[(i, i)];
+            let d = row[i];
             for a in xi.iter_mut() {
                 *a /= d;
             }
@@ -382,6 +431,33 @@ impl Cholesky {
     }
 }
 
+/// Forward substitution of rows `i..i + R` of `L y = b` at width 1, in
+/// place in `y`: first the terms `j < i` as `R` chains, then the in-block
+/// terms in ascending order (see the module docs).
+#[inline(always)]
+fn forward_rows<const R: usize>(l: &Matrix, y: &mut [f64], i: usize) {
+    let rows: [&[f64]; R] = std::array::from_fn(|r| l.row(i + r));
+    let (solved, block) = y.split_at_mut(i);
+    let mut v: [f64; R] = std::array::from_fn(|r| block[r]);
+    for (j, &yj) in solved.iter().enumerate() {
+        for r in 0..R {
+            let lrj = rows[r][j];
+            if lrj != 0.0 {
+                v[r] -= lrj * yj;
+            }
+        }
+    }
+    for r in 0..R {
+        for t in 0..r {
+            let lrt = rows[r][i + t];
+            if lrt != 0.0 {
+                v[r] -= lrt * block[t];
+            }
+        }
+        block[r] = v[r] / rows[r][i + r];
+    }
+}
+
 /// Factors the `w`×`w` diagonal block anchored at `(k0, k0)` of `l` in place
 /// (plain left-looking loop over the panel columns, `dot`-kernel inner
 /// products).  Reports failed pivots at their global index.
@@ -427,11 +503,119 @@ mod tests {
         g
     }
 
+    /// Forward substitution `L y = b` by the textbook loop, column by
+    /// column: ascending `j`, zero factors skipped.
+    fn reference_lower(l: &Matrix, b: &Matrix) -> Matrix {
+        let mut y = b.clone();
+        for c in 0..b.cols() {
+            for i in 0..l.rows() {
+                let mut v = y[(i, c)];
+                for j in 0..i {
+                    if l[(i, j)] != 0.0 {
+                        v -= l[(i, j)] * y[(j, c)];
+                    }
+                }
+                y[(i, c)] = v / l[(i, i)];
+            }
+        }
+        y
+    }
+
+    /// Backward substitution `Lᵀ x = y` by the textbook loop, column by
+    /// column: ascending `j` over column `i` of `L`, zero factors skipped.
+    fn reference_upper(l: &Matrix, y: &Matrix) -> Matrix {
+        let mut x = y.clone();
+        for c in 0..y.cols() {
+            for i in (0..l.rows()).rev() {
+                let mut v = x[(i, c)];
+                for j in (i + 1)..l.rows() {
+                    if l[(j, i)] != 0.0 {
+                        v -= l[(j, i)] * x[(j, c)];
+                    }
+                }
+                x[(i, c)] = v / l[(i, i)];
+            }
+        }
+        x
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_constructor_mirrors_its_factor() {
+        // A constructor that leaves the upper triangle zero makes the
+        // backward solve drop every off-diagonal term of Lᵀ.
+        for &n in &[1usize, 5, 64, 67] {
+            let a = spd_matrix(n);
+            let blocked = Cholesky::new_with_shift(&a, 0.25).unwrap();
+            let scalar = Cholesky::new_scalar_with_shift(&a, 0.25).unwrap();
+            let rebuilt = Cholesky::from_factor(blocked.l()).unwrap();
+            assert_eq!(bits(&rebuilt.l()), bits(&blocked.l()));
+            for (name, ch) in [
+                ("new_with_shift", &blocked),
+                ("new_scalar_with_shift", &scalar),
+                ("from_factor", &rebuilt),
+            ] {
+                let l = ch.l();
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        assert_eq!(l[(i, j)].to_bits(), 0, "{name} n={n}: l() at ({i},{j})");
+                    }
+                }
+                for k in [1usize, 3] {
+                    let b = Matrix::from_fn(n, k, |i, c| ((i * 5 + c * 3) % 7) as f64 - 3.0);
+                    let lower = ch.solve_lower_multi(&b).unwrap();
+                    assert_eq!(bits(&lower), bits(&reference_lower(&l, &b)), "{name} n={n}");
+                    let upper = ch.solve_upper_multi(&b).unwrap();
+                    assert_eq!(bits(&upper), bits(&reference_upper(&l, &b)), "{name} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn width_one_solves_are_the_textbook_loops_bit_for_bit() {
+        // A sparse factor with -0.0 entries, diagonal-only rows, and
+        // right-hand sides of -0.0 on those rows: a solve that subtracted a
+        // zero factor's term instead of skipping it would turn some -0.0
+        // into +0.0 (-0.0 - 0·y = +0.0 for y < 0).
+        let sizes = (1..=9).chain([63, 64, 65]);
+        for n in sizes {
+            let l = Matrix::from_fn(n, n, |i, j| {
+                if j == i {
+                    1.5 + (i % 4) as f64
+                } else if j > i || i % 5 == 0 {
+                    0.0
+                } else if (i + j) % 3 == 0 {
+                    ((i * 7 + j) % 5) as f64 / 4.0 - 0.6
+                } else if (i + j) % 3 == 1 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            });
+            let ch = Cholesky::from_factor(l.clone()).unwrap();
+            let b = Matrix::from_fn(n, 1, |i, _| {
+                if i % 5 == 0 {
+                    -0.0
+                } else {
+                    ((i * 3) % 7) as f64 - 4.0
+                }
+            });
+            let lower = ch.solve_lower_multi(&b).unwrap();
+            assert_eq!(bits(&lower), bits(&reference_lower(&l, &b)), "lower n={n}");
+            let upper = ch.solve_upper_multi(&b).unwrap();
+            assert_eq!(bits(&upper), bits(&reference_upper(&l, &b)), "upper n={n}");
+        }
+    }
+
     #[test]
     fn factor_reconstructs_matrix() {
         let a = spd_matrix(6);
         let ch = Cholesky::new(&a).unwrap();
-        let rec = matmul(ch.l(), &ch.l().transpose()).unwrap();
+        let rec = matmul(&ch.l(), &ch.l().transpose()).unwrap();
         for i in 0..6 {
             for j in 0..6 {
                 assert!(approx_eq(rec[(i, j)], a[(i, j)], 1e-9));

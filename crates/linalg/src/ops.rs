@@ -15,6 +15,30 @@
 //! regardless of blocking or operand width, so the column `k` of a multi-RHS
 //! product is *bit-identical* to the same product computed on that column
 //! alone — the property the serving engine's vectorised batch path relies on.
+//! Both products skip the zero entries of their left operand; they never
+//! add them.
+//!
+//! # Row spans
+//!
+//! [`matmul_spans`] and [`matmul_transpose_left_spans`] take the left
+//! operand's [`RowSpans`]: one `(lo, hi)` per row, with every nonzero of
+//! row `i` in columns `lo..hi`.  Row `i`'s depth loop (`A·X`) and row `r`'s
+//! output range (`AᵀY`) are clipped to that span.  The clipped-off entries
+//! are zeros the kernels would have skipped, so a span product is bit-identical
+//! to the span-less one, which runs every row whole.  A strategy with many
+//! single-entry rows (Program 2's column completion) then reads only its
+//! nonzeros.
+//!
+//! # Four chains at width 1
+//!
+//! At width 1, `A·x` runs four rows at once over their common span, one
+//! register accumulator per row: each `x[k]` is loaded once for four rows
+//! and four independent addition chains hide each other's latency.  A row's
+//! parts outside the common span (before it and after it), and the rows
+//! left over after the last group of four, run alone through the same
+//! ascending loop.  Each output still adds its terms in ascending `k`,
+//! starting from `0.0`, so the grouping — which shifts with the thread
+//! split — never changes a bit.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
@@ -86,8 +110,71 @@ pub fn sum(values: &[f64]) -> f64 {
     acc
 }
 
-/// Computes the matrix product `A * B` with the blocked kernel.
+/// The nonzero extent of each row of a matrix: every nonzero entry of row
+/// `i` lies in columns `lo..hi` of its span `(lo, hi)`, and an all-zero row
+/// is `(0, 0)`.  `-0.0` counts as zero, as it does in every kernel here.
+///
+/// The products that take spans ([`matmul_spans`],
+/// [`matmul_transpose_left_spans`]) clip each row to its span; spans built
+/// by [`RowSpans::of`] from the same matrix make them bit-identical to the
+/// span-less products (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowSpans {
+    cols: usize,
+    spans: Vec<(usize, usize)>,
+}
+
+impl RowSpans {
+    /// Scans `a` once for the first and last nonzero of every row.
+    pub fn of(a: &Matrix) -> RowSpans {
+        let spans = a
+            .rows_iter()
+            .map(|row| match row.iter().position(|&v| v != 0.0) {
+                None => (0, 0),
+                Some(lo) => {
+                    let last = row.iter().rposition(|&v| v != 0.0).unwrap_or(lo);
+                    (lo, last + 1)
+                }
+            })
+            .collect();
+        RowSpans {
+            cols: a.cols(),
+            spans,
+        }
+    }
+
+    fn check(&self, op: &'static str, a: &Matrix) -> Result<()> {
+        if (self.spans.len(), self.cols) != a.shape() {
+            return Err(LinalgError::ShapeMismatch {
+                op,
+                left: a.shape(),
+                right: (self.spans.len(), self.cols),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Row `i`'s span, or the whole row when no spans are given.
+#[inline]
+fn span_of(spans: Option<&RowSpans>, i: usize, cols: usize) -> (usize, usize) {
+    spans.map_or((0, cols), |s| s.spans[i])
+}
+
+/// Computes the matrix product `A * B` with the blocked kernel, every row of
+/// `A` whole.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
+    matmul_over(a, None, b)
+}
+
+/// [`matmul`] with each row of `A` clipped to its span in `spans` (from
+/// [`RowSpans::of`] on `a`): bit-identical, reading only the spans.
+pub fn matmul_spans(a: &Matrix, spans: &RowSpans, b: &Matrix) -> Result<Matrix> {
+    spans.check("matmul_spans", a)?;
+    matmul_over(a, Some(spans), b)
+}
+
+fn matmul_over(a: &Matrix, spans: Option<&RowSpans>, b: &Matrix) -> Result<Matrix> {
     if a.cols() != b.rows() {
         return Err(LinalgError::ShapeMismatch {
             op: "matmul",
@@ -101,11 +188,9 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
         return Ok(out);
     }
     let threads = product_threads(m, m.saturating_mul(n).saturating_mul(k));
-    if threads > 1 {
-        matmul_parallel(a, b, &mut out, threads);
-    } else {
-        matmul_serial_range(a, b, out.as_mut_slice(), 0, m);
-    }
+    split_rows(out.as_mut_slice(), n, m, threads, &|chunk, start, end| {
+        matmul_serial_range(a, spans, b, chunk, start, end)
+    });
     Ok(out)
 }
 
@@ -123,25 +208,116 @@ fn product_threads(rows: usize, work: usize) -> usize {
     }
 }
 
-fn matmul_serial_range(a: &Matrix, b: &Matrix, out: &mut [f64], row_start: usize, row_end: usize) {
+/// Runs `kernel(chunk, row_start, row_end)` over `ceil(rows / threads)`-row
+/// chunks of the row-major `out` (`width` entries per row), on scoped
+/// workers when `threads > 1`, else on the calling thread.
+fn split_rows<F>(out: &mut [f64], width: usize, rows: usize, threads: usize, kernel: &F)
+where
+    F: Fn(&mut [f64], usize, usize) + Sync,
+{
+    if threads <= 1 {
+        kernel(out, 0, rows);
+        return;
+    }
+    let chunk = rows.div_ceil(threads);
+    std::thread::scope(|scope| {
+        for (t, out_chunk) in out.chunks_mut(chunk * width).enumerate() {
+            let row_start = t * chunk;
+            let row_end = (row_start + chunk).min(rows);
+            scope.spawn(move || kernel(out_chunk, row_start, row_end));
+        }
+    });
+}
+
+/// `acc` plus `a[k]·x[k]` for `k` ascending, zero entries of `a` skipped:
+/// the width-1 loop for a row's parts outside its group's common span and
+/// for rows outside any group of four.
+#[inline(always)]
+fn skip_zero_dot(mut acc: f64, a: &[f64], x: &[f64]) -> f64 {
+    for (&ak, &xk) in a.iter().zip(x) {
+        if ak != 0.0 {
+            acc += ak * xk;
+        }
+    }
+    acc
+}
+
+/// Rows of `A·x` advanced together at width 1 (see the module docs).
+const CHAINS: usize = 4;
+
+/// Width-1 `A·x` over rows `row_start..` into `out`, [`CHAINS`] rows at a
+/// time over their common span.
+fn matvec_range(
+    a: &Matrix,
+    spans: Option<&RowSpans>,
+    x: &[f64],
+    out: &mut [f64],
+    row_start: usize,
+) {
+    let cols = a.cols();
+    let tail_start = row_start + out.len() / CHAINS * CHAINS;
+    let mut groups = out.chunks_exact_mut(CHAINS);
+    for (g, o) in (&mut groups).enumerate() {
+        let i0 = row_start + g * CHAINS;
+        let sp: [(usize, usize); CHAINS] = std::array::from_fn(|r| span_of(spans, i0 + r, cols));
+        let rows: [&[f64]; CHAINS] = std::array::from_fn(|r| a.row(i0 + r));
+        // Common span [c_lo, c_hi), empty when the spans do not overlap; a
+        // row's own parts are its span before c_lo and from c_hi on.
+        let c_lo = sp.iter().map(|s| s.0).max().unwrap_or(0);
+        let c_hi = sp.iter().map(|s| s.1).min().unwrap_or(0).max(c_lo);
+        let mut acc = [0.0; CHAINS];
+        for r in 0..CHAINS {
+            let (lo, hi) = sp[r];
+            let end = hi.min(c_lo);
+            if lo < end {
+                acc[r] = skip_zero_dot(acc[r], &rows[r][lo..end], &x[lo..end]);
+            }
+        }
+        let [r0, r1, r2, r3] = rows.map(|row| &row[c_lo..c_hi]);
+        let [mut s0, mut s1, mut s2, mut s3] = acc;
+        for ((((&xk, &a0), &a1), &a2), &a3) in x[c_lo..c_hi].iter().zip(r0).zip(r1).zip(r2).zip(r3)
+        {
+            if a0 != 0.0 {
+                s0 += a0 * xk;
+            }
+            if a1 != 0.0 {
+                s1 += a1 * xk;
+            }
+            if a2 != 0.0 {
+                s2 += a2 * xk;
+            }
+            if a3 != 0.0 {
+                s3 += a3 * xk;
+            }
+        }
+        acc = [s0, s1, s2, s3];
+        for r in 0..CHAINS {
+            let (lo, hi) = sp[r];
+            let start = lo.max(c_hi);
+            if start < hi {
+                acc[r] = skip_zero_dot(acc[r], &rows[r][start..hi], &x[start..hi]);
+            }
+        }
+        o.copy_from_slice(&acc);
+    }
+    for (i, o) in (tail_start..).zip(groups.into_remainder()) {
+        let (lo, hi) = span_of(spans, i, cols);
+        *o = skip_zero_dot(0.0, &a.row(i)[lo..hi], &x[lo..hi]);
+    }
+}
+
+fn matmul_serial_range(
+    a: &Matrix,
+    spans: Option<&RowSpans>,
+    b: &Matrix,
+    out: &mut [f64],
+    row_start: usize,
+    row_end: usize,
+) {
     let n = b.cols();
     let depth = a.cols();
-    // Width-1 fast path: a register-accumulating dot product per output row.
-    // The addition sequence (k ascending, zero terms skipped) is exactly the
-    // blocked kernel's, so `A·x` stays bit-identical to a width-1 `A·X` —
-    // only the per-k slicing overhead goes away.
     if n == 1 {
-        let b_col = b.as_slice();
-        for (i, o) in (row_start..row_end).zip(out.iter_mut()) {
-            let mut acc = 0.0;
-            for (&aik, &bk) in a.row(i).iter().zip(b_col.iter()) {
-                if aik == 0.0 {
-                    continue;
-                }
-                acc += aik * bk;
-            }
-            *o = acc;
-        }
+        matvec_range(a, spans, b.as_slice(), out, row_start);
         return;
     }
     // Blocked i0-k0-i-k-j nest: for each block of output rows, stream the
@@ -153,14 +329,17 @@ fn matmul_serial_range(a: &Matrix, b: &Matrix, out: &mut [f64], row_start: usize
         for k0 in (0..depth).step_by(BLOCK_DEPTH) {
             let k1 = (k0 + BLOCK_DEPTH).min(depth);
             for i in i0..i1 {
-                let a_panel = &a.row(i)[k0..k1];
+                let (lo, hi) = span_of(spans, i, depth);
+                let (p0, p1) = (k0.max(lo), k1.min(hi));
+                if p0 >= p1 {
+                    continue;
+                }
                 let out_row = &mut out[(i - row_start) * n..(i - row_start + 1) * n];
-                for (dk, &aik) in a_panel.iter().enumerate() {
+                for (k, &aik) in (p0..p1).zip(&a.row(i)[p0..p1]) {
                     if aik == 0.0 {
                         continue;
                     }
-                    let b_row = b.row(k0 + dk);
-                    for (o, &bkj) in out_row.iter_mut().zip(b_row.iter()) {
+                    for (o, &bkj) in out_row.iter_mut().zip(b.row(k)) {
                         *o += aik * bkj;
                     }
                 }
@@ -169,34 +348,24 @@ fn matmul_serial_range(a: &Matrix, b: &Matrix, out: &mut [f64], row_start: usize
     }
 }
 
-fn matmul_parallel(a: &Matrix, b: &Matrix, out: &mut Matrix, threads: usize) {
-    let m = a.rows();
-    let n = b.cols();
-    let chunk = m.div_ceil(threads);
-    let out_data = out.as_mut_slice();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, out_chunk) in out_data.chunks_mut(chunk * n).enumerate() {
-            let row_start = t * chunk;
-            let row_end = (row_start + chunk).min(m);
-            if row_start >= row_end {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                matmul_serial_range(a, b, out_chunk, row_start, row_end);
-            }));
-        }
-        for h in handles {
-            h.join().expect("matmul worker thread panicked");
-        }
-    });
-}
-
-/// Computes `Aᵀ * B` without materialising `Aᵀ`, with the blocked kernel.
+/// Computes `Aᵀ * B` without materialising `Aᵀ`, with the blocked kernel,
+/// every row of `A` whole.
 ///
 /// This is the `AᵀY` half of the matrix mechanism's inference step `x̂ =
 /// (AᵀA)⁻¹ Aᵀ Y`, batched over the columns of `Y`.
 pub fn matmul_transpose_left(a: &Matrix, b: &Matrix) -> Result<Matrix> {
+    matmul_transpose_left_over(a, None, b)
+}
+
+/// [`matmul_transpose_left`] with row `r` of `A` contributing only to the
+/// output rows inside its span in `spans` (from [`RowSpans::of`] on `a`):
+/// bit-identical, reading only the spans.
+pub fn matmul_transpose_left_spans(a: &Matrix, spans: &RowSpans, b: &Matrix) -> Result<Matrix> {
+    spans.check("matmul_transpose_left_spans", a)?;
+    matmul_transpose_left_over(a, Some(spans), b)
+}
+
+fn matmul_transpose_left_over(a: &Matrix, spans: Option<&RowSpans>, b: &Matrix) -> Result<Matrix> {
     if a.rows() != b.rows() {
         return Err(LinalgError::ShapeMismatch {
             op: "matmul_transpose_left",
@@ -210,35 +379,16 @@ pub fn matmul_transpose_left(a: &Matrix, b: &Matrix) -> Result<Matrix> {
         return Ok(out);
     }
     let threads = product_threads(m, m.saturating_mul(n).saturating_mul(k));
-    if threads > 1 {
-        let chunk = m.div_ceil(threads);
-        let out_data = out.as_mut_slice();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (t, out_chunk) in out_data.chunks_mut(chunk * n).enumerate() {
-                let row_start = t * chunk;
-                let row_end = (row_start + chunk).min(m);
-                if row_start >= row_end {
-                    break;
-                }
-                handles.push(scope.spawn(move || {
-                    matmul_transpose_left_range(a, b, out_chunk, row_start, row_end);
-                }));
-            }
-            for h in handles {
-                h.join()
-                    .expect("matmul_transpose_left worker thread panicked");
-            }
-        });
-    } else {
-        matmul_transpose_left_range(a, b, out.as_mut_slice(), 0, m);
-    }
+    split_rows(out.as_mut_slice(), n, m, threads, &|chunk, start, end| {
+        matmul_transpose_left_range(a, spans, b, chunk, start, end)
+    });
     Ok(out)
 }
 
 /// Serial `AᵀB` over output rows `[row_start, row_end)` (columns of `A`).
 fn matmul_transpose_left_range(
     a: &Matrix,
+    spans: Option<&RowSpans>,
     b: &Matrix,
     out: &mut [f64],
     row_start: usize,
@@ -246,19 +396,23 @@ fn matmul_transpose_left_range(
 ) {
     let n = b.cols();
     let depth = a.rows();
+    let cols = a.cols();
     // Width-1 fast path: stream A row-wise once, accumulating into the
     // (cache-resident) output column.  Per output row the depth index r
     // ascends and the same zero terms are skipped as in the blocked kernel
-    // below, so `Aᵀy` stays bit-identical to a width-1 `AᵀY`.
+    // below, so `Aᵀy` stays bit-identical to a width-1 `AᵀY`.  The skip is
+    // a select, which keeps the loop branch-free and vectorised: a branch
+    // there made it about 1.6× slower at 2047×1024.
     if n == 1 {
-        let b_col = b.as_slice();
-        for (r, &br) in b_col.iter().enumerate() {
-            let a_panel = &a.row(r)[row_start..row_end];
-            for (o, &ari) in out.iter_mut().zip(a_panel.iter()) {
-                if ari == 0.0 {
-                    continue;
-                }
-                *o += ari * br;
+        for (r, &br) in b.as_slice().iter().enumerate() {
+            let (lo, hi) = span_of(spans, r, cols);
+            let (c0, c1) = (row_start.max(lo), row_end.min(hi));
+            if c0 >= c1 {
+                continue;
+            }
+            let out_part = &mut out[c0 - row_start..c1 - row_start];
+            for (o, &ari) in out_part.iter_mut().zip(&a.row(r)[c0..c1]) {
+                *o = if ari != 0.0 { *o + ari * br } else { *o };
             }
         }
         return;
@@ -272,9 +426,10 @@ fn matmul_transpose_left_range(
         for r0 in (0..depth).step_by(BLOCK_DEPTH) {
             let r1 = (r0 + BLOCK_DEPTH).min(depth);
             for r in r0..r1 {
+                let (lo, hi) = span_of(spans, r, cols);
                 let a_row = a.row(r);
                 let b_row = b.row(r);
-                for i in i0..i1 {
+                for i in i0.max(lo)..i1.min(hi) {
                     let ari = a_row[i];
                     if ari == 0.0 {
                         continue;
@@ -632,6 +787,110 @@ mod tests {
             }
         }
         assert_matrix_eq(&par, &serial, 1e-9);
+    }
+
+    /// A left operand with every row kind the spans meet, in a 7-row cycle
+    /// so four-row groups mix them: empty rows, single-entry rows, whole
+    /// rows with `-0.0` and zero entries inside, short runs in the middle,
+    /// prefix runs followed by a `-0.0` (outside the span, which treats it as
+    /// zero) and suffix runs.
+    fn span_test_matrix(rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |i, j| match i % 7 {
+            0 => 0.0,
+            1 if j == (i * 5) % cols => 1.5 + i as f64,
+            2 if j % 3 == 0 => -0.0,
+            2 if j % 3 == 1 => ((i * 3 + j) % 5) as f64 - 2.0,
+            3 if (cols / 3..cols / 2 + 1).contains(&j) => j as f64 * 0.25 - 1.0,
+            4 if j < i % cols => 0.5 * j as f64 - 0.3,
+            4 if j + 1 == cols => -0.0,
+            5 if j > (i * 3) % cols => ((i + 2 * j) % 9) as f64 / 4.0 - 1.0,
+            6 => ((i * 13 + j * 7) % 11) as f64 / 3.0 - 5.0 / 3.0,
+            _ => 0.0,
+        })
+    }
+
+    /// `A·B` by the textbook loop: ascending `k`, zero entries of `A`
+    /// skipped.
+    fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            let mut acc = 0.0;
+            for k in 0..a.cols() {
+                if a[(i, k)] != 0.0 {
+                    acc += a[(i, k)] * b[(k, j)];
+                }
+            }
+            acc
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn span_products_are_the_span_less_products_bit_for_bit() {
+        // Row counts ≡ 1, 2, 3 (mod 4) leave one, two and three rows after
+        // the last four-row group; 3 and 2 rows have no group at all.
+        for &(rows, cols) in &[
+            (2usize, 5usize),
+            (3, 4),
+            (9, 7),
+            (14, 12),
+            (23, 30),
+            (203, 41),
+        ] {
+            let a = span_test_matrix(rows, cols);
+            let spans = RowSpans::of(&a);
+            for k in [1usize, 3, 8] {
+                // Right-hand sides with negatives and -0.0 entries.
+                let b = Matrix::from_fn(cols, k, |i, c| {
+                    if (i + c) % 6 == 0 {
+                        -0.0
+                    } else {
+                        ((i * 7 + c * 3) % 13) as f64 / 2.0 - 3.0
+                    }
+                });
+                let plain = matmul(&a, &b).unwrap();
+                let clipped = matmul_spans(&a, &spans, &b).unwrap();
+                assert_eq!(bits(&clipped), bits(&plain), "A·X {rows}×{cols}, K = {k}");
+                assert_eq!(bits(&plain), bits(&reference_matmul(&a, &b)));
+                let y = Matrix::from_fn(rows, k, |i, c| {
+                    if (i * 2 + c) % 5 == 0 {
+                        -0.0
+                    } else {
+                        ((i * 5 + c * 11) % 17) as f64 / 4.0 - 2.0
+                    }
+                });
+                let plain_t = matmul_transpose_left(&a, &y).unwrap();
+                let clipped_t = matmul_transpose_left_spans(&a, &spans, &y).unwrap();
+                assert_eq!(
+                    bits(&clipped_t),
+                    bits(&plain_t),
+                    "AᵀY {rows}×{cols}, K = {k}"
+                );
+                assert_eq!(bits(&plain_t), bits(&reference_matmul(&a.transpose(), &y)));
+            }
+        }
+        // Spans describe one matrix shape; another is rejected.
+        let spans = RowSpans::of(&span_test_matrix(9, 7));
+        assert!(matmul_spans(&Matrix::zeros(9, 8), &spans, &Matrix::zeros(8, 1)).is_err());
+        assert!(
+            matmul_transpose_left_spans(&Matrix::zeros(8, 7), &spans, &Matrix::zeros(8, 1))
+                .is_err()
+        );
+    }
+
+    #[test]
+    fn row_spans_bound_the_nonzeros() {
+        let a = Matrix::from_rows(&[
+            vec![0.0, 0.0, 0.0, 0.0],
+            vec![0.0, 2.0, 0.0, 0.0],
+            vec![-0.0, 1.0, 0.0, 3.0],
+            vec![4.0, 0.0, 5.0, -0.0],
+        ])
+        .unwrap();
+        let spans = RowSpans::of(&a);
+        assert_eq!(spans.spans, vec![(0, 0), (1, 2), (1, 4), (0, 3)]);
     }
 
     #[test]

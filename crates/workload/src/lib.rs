@@ -80,7 +80,8 @@ pub trait Workload {
     /// The default builds the gram on every call, so it always returns
     /// `Some`.  Workloads whose gram is fixed at construction
     /// ([`range::AllRangeWorkload`], [`range::RandomRangeWorkload`],
-    /// [`marginal::MarginalWorkload`]) memoise the fingerprint per
+    /// [`marginal::MarginalWorkload`], [`transform::PermutedWorkload`])
+    /// memoise the fingerprint per
     /// instance: the first call builds the gram and returns it, every later
     /// call returns the memo and `None`.  A caller that needs the gram after
     /// `None` builds it itself, so repeated requests on one instance — warm

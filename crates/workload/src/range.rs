@@ -698,6 +698,7 @@ mod tests {
     #[test]
     fn memoised_key_is_the_gram_fingerprint() {
         use crate::fingerprint::try_gram_fingerprint;
+        use crate::transform::{seeded_permutation, PermutedWorkload};
         for w in [
             AllRangeWorkload::new(Domain::one_dim(24)),
             AllRangeWorkload::normalized(Domain::one_dim(24)),
@@ -730,6 +731,21 @@ mod tests {
         assert!(gram.is_some(), "normalising resets the memo");
         assert_eq!(key, try_gram_fingerprint(&normalized.gram()).unwrap());
         assert_ne!(key, expected);
+        // A permuted workload memoises its own key, the permuted gram's.
+        let inner = AllRangeWorkload::new(Domain::one_dim(24));
+        let inner_key = inner.try_fingerprint().unwrap().0;
+        let w = PermutedWorkload::new(inner, seeded_permutation(24, 3));
+        let expected = try_gram_fingerprint(&w.gram()).unwrap();
+        assert_ne!(expected, inner_key);
+        let (first, gram) = w.try_fingerprint().unwrap();
+        assert_eq!(first, expected);
+        assert_eq!(
+            try_gram_fingerprint(&gram.expect("built")).unwrap(),
+            expected
+        );
+        let (again, none) = w.try_fingerprint().unwrap();
+        assert_eq!(again, expected);
+        assert!(none.is_none(), "a repeated call builds no gram");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! Eigen-Design algorithm is invariant.  [`ScaledWorkload`] applies one global
 //! scale factor to every query (used by tests of error scaling behaviour).
 
+use crate::fingerprint::{Fingerprint, FingerprintMemo, NanGramEntry};
 use crate::Workload;
 use mm_linalg::Matrix;
 
@@ -19,6 +20,7 @@ pub struct PermutedWorkload<W> {
     inner: W,
     perm: Vec<usize>,
     inverse: Vec<usize>,
+    fingerprint: FingerprintMemo,
 }
 
 impl<W: Workload> PermutedWorkload<W> {
@@ -45,6 +47,7 @@ impl<W: Workload> PermutedWorkload<W> {
             inner,
             perm,
             inverse,
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
@@ -73,6 +76,10 @@ impl<W: Workload> Workload for PermutedWorkload<W> {
         let g = self.inner.gram();
         let n = self.dim();
         Matrix::from_fn(n, n, |i, j| g[(self.perm[i], self.perm[j])])
+    }
+
+    fn try_fingerprint(&self) -> Result<(Fingerprint, Option<Matrix>), NanGramEntry> {
+        self.fingerprint.get_or_derive(|| self.gram())
     }
 
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {

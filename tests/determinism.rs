@@ -28,6 +28,8 @@ struct KernelBits {
     syrk: Vec<u64>,
     trsm: Vec<u64>,
     matmul: Vec<u64>,
+    span_products: Vec<Vec<u64>>,
+    width_one_solves: Vec<Vec<u64>>,
     engine_answers: Vec<u64>,
     engine_estimate: Vec<u64>,
     structured_answers: Vec<u64>,
@@ -41,8 +43,9 @@ fn bits_of(values: &[f64]) -> Vec<u64> {
 }
 
 /// Sizes are chosen so every parallel path actually engages when more than
-/// one thread is allowed: the matmul threshold (rows ≥ 96, work > 10⁶), the
-/// SYRK/TRSM work floor (32 768) and the eigensolver floor (16 384).
+/// one thread is allowed: the matmul threshold (rows ≥ 96, work > 10⁶, met
+/// at width 1 too by the span products), the SYRK/TRSM work floor (32 768)
+/// and the eigensolver floor (16 384).
 fn run_kernels() -> KernelBits {
     // Blocked Cholesky + the multi-RHS trace term on a dense SPD gram.
     let n = 192;
@@ -81,6 +84,36 @@ fn run_kernels() -> KernelBits {
     let m1 = Matrix::from_fn(128, 128, |i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
     let m2 = Matrix::from_fn(128, 128, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
     let prod = ops::matmul(&m1, &m2).expect("shapes match");
+
+    // Span products at widths 1 and 8 on a strategy-shaped matrix: a dense
+    // block, single-entry rows and empty rows, 1 031 rows (≡ 3 mod 4) of
+    // 1 000 columns, so even `A·x` and `Aᵀy` do over 10⁶ multiply-adds and
+    // split across threads, each thread's four-row groups starting where
+    // its chunk does.
+    let sa = Matrix::from_fn(1031, 1000, |i, j| match i {
+        0..=499 => ((i * 7 + j * 3) % 23) as f64 / 11.0 - 1.0,
+        _ if i % 9 == 0 => 0.0,
+        _ if j == (i * 37) % 1000 => 1.0 + (i % 5) as f64,
+        _ => 0.0,
+    });
+    let spans = ops::RowSpans::of(&sa);
+    let span_products = [1usize, 8]
+        .into_iter()
+        .flat_map(|k| {
+            let x = Matrix::from_fn(1000, k, |i, c| ((i * 11 + c * 5) % 29) as f64 - 14.0);
+            let y = Matrix::from_fn(1031, k, |i, c| ((i * 3 + c * 13) % 31) as f64 / 7.0);
+            [
+                ops::matmul_spans(&sa, &spans, &x).expect("shapes match"),
+                ops::matmul_transpose_left_spans(&sa, &spans, &y).expect("shapes match"),
+            ]
+        })
+        .map(|m| bits_of(m.as_slice()))
+        .collect();
+    // Both width-1 triangular solves through the n = 192 factor.
+    let rhs = Matrix::from_fn(n, 1, |i, _| ((i * 17) % 13) as f64 - 6.0);
+    let forward = factor.solve_lower_multi(&rhs).expect("shapes match");
+    let backward = factor.solve_upper_multi(&rhs).expect("shapes match");
+    let width_one_solves = vec![bits_of(forward.as_slice()), bits_of(backward.as_slice())];
 
     // End to end: a cold engine answer (selection, factor, trace term,
     // mechanism run) with a fixed rng.
@@ -126,6 +159,8 @@ fn run_kernels() -> KernelBits {
         syrk: bits_of(c.as_slice()),
         trsm: bits_of(x.as_slice()),
         matmul: bits_of(prod.as_slice()),
+        span_products,
+        width_one_solves,
         engine_answers: bits_of(&answer.answers),
         engine_estimate: bits_of(&answer.estimate),
         structured_answers: bits_of(&structured.answers),

@@ -6,11 +6,13 @@
 //! those later requests — in the engine and in the serve tier — build no
 //! gram, and a first request hands the gram it hashed on to the selection.
 //! Structured plans likewise compute their predicted-error trace term once.
+//! What a hit does run, the mechanism, is the textbook one bit for bit.
 
-use adaptive_dp::core::engine::Engine;
-use adaptive_dp::core::PrivacyParams;
+use adaptive_dp::core::engine::{Engine, FixedStrategySelector};
+use adaptive_dp::core::{GaussianBackend, NoiseBackend, PrivacyParams};
 use adaptive_dp::linalg::Matrix;
 use adaptive_dp::serve::{block_on, ServeEngine};
+use adaptive_dp::strategies::Strategy;
 use adaptive_dp::workload::marginal::{MarginalKind, MarginalWorkload};
 use adaptive_dp::workload::range::AllRangeWorkload;
 use adaptive_dp::workload::{
@@ -274,4 +276,108 @@ fn the_structured_predicted_error_is_cached_bit_for_bit() {
     assert_ne!(other_answer.fingerprint, first.fingerprint);
     assert_ne!(other_answer.expected_rms_error.unwrap().to_bits(), bits);
     assert_eq!(other.descriptor().query_count(), n);
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A warm dense hit is the textbook mechanism, bit for bit: the same seeded
+/// noise at the engine's scale, then plain ascending loops, zero entries
+/// skipped, for `A·x`, `Aᵀy` and the two triangular solves over the plan's
+/// strategy matrix and `l()`.  The strategy is a dense block over one
+/// single-entry row per cell, the shape of Program 2's column completion.
+/// n = 723 is not a multiple of 4, and the 1 446 × 723 products exceed 10⁶
+/// multiply-adds, so the width-1 products split across threads when more
+/// than one is allowed.
+#[test]
+fn a_warm_dense_hit_is_the_textbook_mechanism_bit_for_bit() {
+    let n = 723;
+    let p = 2 * n;
+    let strategy = Matrix::from_fn(p, n, |i, j| {
+        if i < n {
+            ((i * 7 + j * 13) % 17) as f64 / 16.0 - 0.5
+        } else if j == (i * 31) % n {
+            1.0 + (i % 3) as f64
+        } else {
+            0.0
+        }
+    });
+    let engine = Engine::builder()
+        .privacy(PrivacyParams::paper_default())
+        .selector(FixedStrategySelector::new(Strategy::from_matrix(
+            "block over single entries",
+            strategy,
+        )))
+        .build()
+        .expect("engine builds");
+    let w = AllRangeWorkload::new(Domain::one_dim(n));
+    let x = data(n, 31);
+    let miss = engine
+        .answer(&w, &x, &mut StdRng::seed_from_u64(1))
+        .unwrap();
+    assert!(!miss.cache_hit);
+    let hit = engine
+        .answer(&w, &x, &mut StdRng::seed_from_u64(2))
+        .unwrap();
+    assert!(hit.cache_hit);
+
+    let entry = engine.cached_selection(hit.fingerprint).expect("cached");
+    let a = entry.strategy().matrix().expect("materialised");
+    let l = entry.factor().expect("factor").l();
+    let backend = GaussianBackend;
+    let scale = backend.noise_scale(engine.privacy(), backend.sensitivity(entry.strategy()));
+    // mm-lint: allow(charge-before-noise): the reference rebuilds the noise stream of the accounted engine answer under test, on the same privacy parameters
+    let noise = backend.sample(&mut StdRng::seed_from_u64(2), scale, p);
+    let y: Vec<f64> = (0..p)
+        .map(|i| {
+            let mut acc = 0.0;
+            for k in 0..n {
+                if a[(i, k)] != 0.0 {
+                    acc += a[(i, k)] * x[k];
+                }
+            }
+            acc + noise[i]
+        })
+        .collect();
+    let mut z = vec![0.0; n];
+    for r in 0..p {
+        for j in 0..n {
+            if a[(r, j)] != 0.0 {
+                z[j] += a[(r, j)] * y[r];
+            }
+        }
+    }
+    for i in 0..n {
+        let mut v = z[i];
+        for j in 0..i {
+            if l[(i, j)] != 0.0 {
+                v -= l[(i, j)] * z[j];
+            }
+        }
+        z[i] = v / l[(i, i)];
+    }
+    for i in (0..n).rev() {
+        let mut v = z[i];
+        for j in (i + 1)..n {
+            if l[(j, i)] != 0.0 {
+                v -= l[(j, i)] * z[j];
+            }
+        }
+        z[i] = v / l[(i, i)];
+    }
+    assert_eq!(bits(&hit.estimate), bits(&z), "estimate");
+    assert_eq!(bits(&hit.answers), bits(&w.evaluate(&z)), "answers");
+
+    // A K = 3 batch is three single answers on the same rng stream.
+    let xs = [data(n, 41), data(n, 42), data(n, 43)];
+    let batch = engine
+        .answer_batch(&w, &xs, &mut StdRng::seed_from_u64(3))
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(3);
+    for (batched, x) in batch.iter().zip(&xs) {
+        let single = engine.answer(&w, x, &mut rng).unwrap();
+        assert_eq!(bits(&batched.estimate), bits(&single.estimate));
+        assert_eq!(bits(&batched.answers), bits(&single.answers));
+    }
 }
