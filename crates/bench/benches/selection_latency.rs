@@ -127,12 +127,10 @@ fn scalar_miss_path(gram: &Matrix) -> f64 {
         .map(|(i, _)| i)
         .collect();
     let n = gram.rows();
-    let mut q = Matrix::zeros(retained.len(), n);
-    for (r, &idx) in retained.iter().enumerate() {
-        for c in 0..n {
-            q[(r, c)] = eig.eigenvectors()[(c, idx)];
-        }
-    }
+    let q = eig
+        .eigenvector_rows()
+        .select_rows(&retained)
+        .expect("retained indices are rows");
     let costs: Vec<f64> = retained.iter().map(|&i| vals[i]).collect();
     let strategy = weighted_design_strategy_with_costs(
         "scalar",

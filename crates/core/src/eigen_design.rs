@@ -91,20 +91,15 @@ pub fn workload_eigensystem(
             "workload gram matrix is zero".into(),
         ));
     }
-    let retained: Vec<usize> = eigenvalues
+    // The eigenvalues descend, so the retained ones are a prefix, and so are
+    // their eigenvector rows.
+    let rank = eigenvalues
         .iter()
-        .enumerate()
-        .filter(|(_, &l)| l > rank_tol * sigma1)
-        .map(|(i, _)| i)
-        .collect();
+        .take_while(|&&l| l > rank_tol * sigma1)
+        .count();
     let n = workload_gram.rows();
-    let mut q = Matrix::zeros(retained.len(), n);
-    for (r, &idx) in retained.iter().enumerate() {
-        for c in 0..n {
-            q[(r, c)] = eig.eigenvectors()[(c, idx)];
-        }
-    }
-    let retained_values: Vec<f64> = retained.iter().map(|&i| eigenvalues[i]).collect();
+    let q = eig.eigenvector_rows().submatrix(0, rank, 0, n)?;
+    let retained_values = eigenvalues[..rank].to_vec();
     Ok((eigenvalues, retained_values, q))
 }
 
@@ -311,5 +306,31 @@ mod tests {
     fn zero_gram_rejected() {
         let g = Matrix::zeros(4, 4);
         assert!(eigen_design(&g, &EigenDesignOptions::default()).is_err());
+    }
+
+    #[test]
+    fn trace_term_of_an_eigen_design_factor_matches_the_two_solve_form() {
+        // The Prop. 4 term row by row against its two-solve form
+        // `Σ diag(L⁻¹ (L⁻¹G)ᵀ)` on completed eigen-design strategies.  Both
+        // workloads have full rank: the eigen-design strategy of a
+        // rank-deficient one (range marginals) is ill-conditioned enough
+        // that any two evaluation orders differ by more than 1e-12.
+        let grams = [
+            AllRangeWorkload::new(Domain::new(&[48])).gram(),
+            AllRangeWorkload::new(Domain::new(&[8, 6])).gram(),
+        ];
+        for g in grams {
+            let res = eigen_design(&g, &EigenDesignOptions::default()).unwrap();
+            let factor = mm_linalg::decomp::Cholesky::new(res.strategy.gram()).unwrap();
+            let t = factor.trace_of_gram_times_inverse(&g).unwrap();
+            let y = factor.solve_lower_multi(&g).unwrap();
+            let z = factor.solve_lower_multi(&y.transpose()).unwrap();
+            let reference = mm_linalg::ops::sum(&z.diag());
+            assert!(
+                (t - reference).abs() <= 1e-12 * reference,
+                "n={}: {t} vs {reference}",
+                g.rows()
+            );
+        }
     }
 }

@@ -48,7 +48,9 @@ pub fn strategy_factor(strategy: &Strategy) -> crate::Result<Cholesky> {
 /// `trace(G (AᵀA)⁻¹)` for a workload gram matrix `G` and a strategy.
 ///
 /// Uses a Cholesky factorization of the strategy gram, adding a small ridge
-/// when the strategy is rank deficient.
+/// when the strategy is rank deficient.  `G` must be symmetric, as every
+/// gram `WᵀW` is: only its lower triangle is read (see
+/// [`Cholesky::trace_of_gram_times_inverse`]).
 pub fn trace_term(workload_gram: &Matrix, strategy: &Strategy) -> crate::Result<f64> {
     if workload_gram.shape() != strategy.gram().shape() {
         return Err(crate::MechanismError::InvalidArgument(format!(
@@ -61,13 +63,14 @@ pub fn trace_term(workload_gram: &Matrix, strategy: &Strategy) -> crate::Result<
 }
 
 /// [`trace_term`] against a precomputed strategy-gram factor (the engine's
-/// cache-hit path: no re-factorization per answer).
+/// cache-hit path: no re-factorization per answer).  `G` must be symmetric.
 pub fn trace_term_with_factor(workload_gram: &Matrix, factor: &Cholesky) -> crate::Result<f64> {
     Ok(factor.trace_of_gram_times_inverse(workload_gram)?)
 }
 
 /// Total squared error `P(ε,δ) · ‖A‖₂² · trace(G (AᵀA)⁻¹)` (Prop. 4, summed
-/// over the workload queries rather than averaged).
+/// over the workload queries rather than averaged).  `G` must be symmetric,
+/// as for [`trace_term`].
 pub fn total_squared_error(
     workload_gram: &Matrix,
     strategy: &Strategy,

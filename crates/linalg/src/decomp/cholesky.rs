@@ -35,6 +35,26 @@
 //! change.  The backward solve stays one row at a time: row `i`'s sum
 //! starts at `j = i + 1`, inside any block of rows solved together, so
 //! interleaving rows would reorder it.
+//!
+//! # The trace term, row by row
+//!
+//! [`Cholesky::trace_of_gram_times_inverse`] evaluates the Prop. 4 term
+//! `trace(G A⁻¹)` for `A = L Lᵀ`.  With `M = L⁻¹`, `A⁻¹ = Mᵀ M`, so
+//!
+//! ```text
+//! trace(G A⁻¹) = trace(M G Mᵀ) = Σᵢ mᵢᵀ G mᵢ,
+//! ```
+//!
+//! where `mᵢ` is row `i` of `M`.  Since `M L = I`, `mᵢ` solves
+//! `Lᵀ mᵢ = eᵢ` and is zero past entry `i`: a back substitution over rows
+//! `0..=i` of the mirrored `Lᵀ`, contiguous like the backward solve's.  The
+//! quadratic form reads `G`'s lower triangle and doubles each off-diagonal
+//! pair, so `G` must be symmetric (a debug assertion checks it).  Each row
+//! costs about `i²` multiply-adds, n³/3 in all, against n³ for two full
+//! multi-RHS solves.  A row is dropped once its term is added, so the term
+//! holds two length-n scratch vectors and no n×n temporary.  The rows run
+//! in order on the calling thread and `ops::sum` adds their terms, so the
+//! result does not depend on the thread count.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
@@ -404,18 +424,14 @@ impl Cholesky {
         p * p
     }
 
-    /// Computes `trace(G * A⁻¹)` where `A` is the factored matrix, without
-    /// forming the inverse explicitly.
+    /// Computes `trace(G A⁻¹)` where `A = L Lᵀ` is the factored matrix,
+    /// without forming the inverse: the Prop. 4 error term
+    /// `trace(WᵀW (AᵀA)⁻¹)` with `G = WᵀW`.
     ///
-    /// This is the Prop. 4 error expression `trace(WᵀW (AᵀA)⁻¹)` with
-    /// `G = WᵀW`.  With `A = L Lᵀ` the cyclic property gives
-    /// `trace(G L⁻ᵀ L⁻¹) = trace(L⁻¹ G L⁻ᵀ) = trace(L⁻¹ (L⁻¹ G)ᵀ)`, so the
-    /// whole trace is two blocked multi-RHS forward sweeps
-    /// ([`Cholesky::solve_lower_multi`]) and a diagonal sum — the n
-    /// column-by-column scalar solves this replaces were the last unblocked
-    /// O(n³) step on the engine's selection-miss path.  (The sweeps evaluate
-    /// `trace(Gᵀ A⁻¹)`, which equals `trace(G A⁻¹)` for *any* square `G` —
-    /// symmetric or not — because `A⁻¹` is symmetric.)
+    /// `G` must be symmetric; only its lower triangle is read.  The term is
+    /// `Σᵢ mᵢᵀ G mᵢ` over the rows `mᵢ` of `L⁻¹`, each found by back
+    /// substitution and dropped once its term is added (see the module
+    /// docs): n³/3 multiply-adds and no n×n temporary.
     pub fn trace_of_gram_times_inverse(&self, g: &Matrix) -> Result<f64> {
         let n = self.dim();
         if g.shape() != (n, n) {
@@ -425,9 +441,35 @@ impl Cholesky {
                 right: g.shape(),
             });
         }
-        let y = self.solve_lower_multi(g)?;
-        let z = self.solve_lower_multi(&y.transpose())?;
-        Ok(ops::sum(&z.diag()))
+        debug_assert!(
+            g.is_symmetric(1e-10 * g.max_abs()),
+            "trace_of_gram_times_inverse reads only the lower triangle of a symmetric G"
+        );
+        let mut m = vec![0.0; n];
+        let mut w = vec![0.0; n];
+        let terms: Vec<f64> = (0..n)
+            .map(|i| self.inverse_row_term(g, i, &mut m, &mut w))
+            .collect();
+        Ok(ops::sum(&terms))
+    }
+
+    /// `mᵢᵀ G mᵢ` for row `i` of `L⁻¹`, with `m` and `w` as scratch: `mᵢ`
+    /// solves `Lᵀ mᵢ = eᵢ` and is zero past `i`, and the quadratic form reads
+    /// `G`'s lower triangle, each off-diagonal pair once and doubled.
+    fn inverse_row_term(&self, g: &Matrix, i: usize, m: &mut [f64], w: &mut [f64]) -> f64 {
+        let m = &mut m[..=i];
+        let w = &mut w[..=i];
+        m[i] = 1.0 / self.l[(i, i)];
+        for j in (0..i).rev() {
+            // Row j of Lᵀ right of the diagonal: the mirrored row j of L.
+            let row = self.l.row(j);
+            m[j] = -ops::dot(&row[j + 1..=i], &m[j + 1..]) / row[j];
+        }
+        for (k, wk) in w.iter_mut().enumerate() {
+            let gk = g.row(k);
+            *wk = gk[k] * m[k] + 2.0 * ops::dot(&gk[..k], &m[..k]);
+        }
+        ops::dot(m, w)
     }
 }
 
@@ -491,6 +533,7 @@ fn factor_diag_block(l: &mut Matrix, k0: usize, w: usize) -> Result<()> {
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use crate::decomp::test_grams::range_marginal_gram;
     use crate::ops::{gram, matmul};
 
     fn spd_matrix(n: usize) -> Matrix {
@@ -832,6 +875,54 @@ mod tests {
         assert!(Cholesky::new_scalar_with_shift(&spd_matrix(8), 0.5).is_ok());
         assert!(Cholesky::new_scalar(&Matrix::zeros(2, 3)).is_err());
         assert!(Cholesky::new_scalar(&Matrix::zeros(0, 0)).is_err());
+    }
+
+    /// The trace term in its two-solve form: `Y = L⁻¹G`, `Z = L⁻¹Yᵀ`, then
+    /// the diagonal sum of `Z = L⁻¹ G L⁻ᵀ`.
+    fn two_solve_trace(ch: &Cholesky, g: &Matrix) -> f64 {
+        let y = ch.solve_lower_multi(g).unwrap();
+        let z = ch.solve_lower_multi(&y.transpose()).unwrap();
+        ops::sum(&z.diag())
+    }
+
+    #[test]
+    fn row_by_row_trace_matches_the_two_solve_form() {
+        // Dense SPD pairs across the block edges, then a rank-deficient G
+        // (the 2-way range marginals on 4×3×2).  Every G has nonzero
+        // off-diagonal terms, so a lost factor 2 shows.
+        let mut cases: Vec<(Matrix, Matrix)> = [1usize, 2, 7, 64, 193]
+            .iter()
+            .map(|&n| {
+                let mut g = gram(&Matrix::from_fn(n + 3, n, |i, j| {
+                    ((i * 5 + j * 3) % 11) as f64 / 5.0 - 1.0
+                }));
+                for i in 0..n {
+                    g[(i, i)] += 0.5;
+                }
+                (spd_matrix(n), g)
+            })
+            .collect();
+        cases.push((spd_matrix(24), range_marginal_gram(&[4, 3, 2])));
+        for (a, g) in cases {
+            let ch = Cholesky::new(&a).unwrap();
+            let t = ch.trace_of_gram_times_inverse(&g).unwrap();
+            let reference = two_solve_trace(&ch, &g);
+            assert!(
+                (t - reference).abs() <= 1e-12 * reference.abs(),
+                "n={}: {t} vs {reference}",
+                a.rows()
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "symmetric G")]
+    fn trace_term_rejects_an_asymmetric_gram_in_debug_builds() {
+        let ch = Cholesky::new(&spd_matrix(3)).unwrap();
+        let mut g = spd_matrix(3);
+        g[(0, 2)] += 1.0;
+        let _ = ch.trace_of_gram_times_inverse(&g);
     }
 
     #[test]

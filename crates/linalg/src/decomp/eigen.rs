@@ -8,24 +8,38 @@
 //!
 //! 1. Householder reduction to tridiagonal form (`tred2`),
 //! 2. implicit-shift QL iteration on the tridiagonal matrix with accumulation
-//!    of the transformations (`tql2`).
+//!    of the transformations (`tql2_rows`).
 //!
 //! A cyclic Jacobi implementation is also provided; it is slower but
 //! independent, and the test-suite uses it to cross-validate the QL results.
+//! Every constructor returns the eigenvectors as the rows of `Q`
+//! ([`SymmetricEigen::eigenvector_rows`]), sorted by descending eigenvalue.
 //!
 //! # Performance and determinism
 //!
 //! The production kernels behind [`SymmetricEigen::new`] are restructured for
-//! locality and parallelism: `tred2`'s symmetric matvec and its rank-2 /
+//! locality and parallelism.  `tred2`'s symmetric matvec and its rank-2 /
 //! rank-1 updates run row-wise (the textbook formulation walks columns of a
-//! row-major matrix), and `tql2` records each implicit-shift sweep's Givens
-//! rotations and applies the whole sweep in one row-parallel pass — every
-//! matrix row replays the rotation sequence on its own contiguous entries, so
-//! the accumulation matrix is streamed once per sweep instead of once per
-//! rotation.  Work is partitioned over fixed block boundaries with per-block
-//! sequential accumulation (the [`crate::parallel`] contract), so results are
-//! bit-identical across thread counts.  The textbook scalar kernels are kept
-//! as [`SymmetricEigen::new_scalar`] for cross-validation and benchmarking,
+//! row-major matrix).
+//!
+//! The QL phase runs on the **transposed basis**.  `tred2` accumulates the
+//! eigenvector basis as columns; it is transposed once, in place, so each
+//! basis vector is a contiguous row.  A QL rotation `(i, c, s)` mixes
+//! columns `i` and `i + 1` of the textbook basis, which are now rows `i` and
+//! `i + 1`: two contiguous streams the compiler vectorises.  Each
+//! implicit-shift sweep records its rotations and applies them in recorded
+//! order, so every basis entry sees exactly the multiplies and adds the
+//! textbook loop (`tql2_scalar`) gives it, in the same order: the bits do
+//! not change.  The sorted rows are the paper's `Q` with no further
+//! transpose.
+//!
+//! Work is partitioned over fixed boundaries with per-block sequential
+//! accumulation (the [`crate::parallel`] contract), so results are
+//! bit-identical across thread counts.  A sweep large enough to thread splits
+//! the columns of the basis into one chunk per thread, and each thread
+//! replays the whole sweep on its chunk; no entry's update order depends on
+//! the split.  The textbook scalar kernels are kept as
+//! [`SymmetricEigen::new_scalar`] for cross-validation and benchmarking,
 //! exactly as `jacobi` is kept as an independent reference.
 
 use crate::error::{LinalgError, Result};
@@ -44,54 +58,40 @@ const REDUCE_BLOCK: usize = 128;
 /// Minimum number of updated entries before a phase spawns worker threads.
 const EIG_PARALLEL_WORK: usize = 16_384;
 
-/// Eigendecomposition of a real symmetric matrix `A = V diag(λ) Vᵀ`.
+/// Eigendecomposition of a real symmetric matrix `A = Qᵀ diag(λ) Q`.
 ///
-/// Eigenvalues are sorted in descending order and `V`'s columns are the
+/// Eigenvalues are sorted in descending order and the rows of `Q` are the
 /// corresponding orthonormal eigenvectors.
 #[derive(Debug, Clone)]
 pub struct SymmetricEigen {
     eigenvalues: Vec<f64>,
-    /// Matrix whose columns are eigenvectors (same order as `eigenvalues`).
-    eigenvectors: Matrix,
+    /// Matrix whose rows are eigenvectors (same order as `eigenvalues`).
+    eigenvector_rows: Matrix,
 }
 
 impl SymmetricEigen {
     /// Computes the decomposition of a symmetric matrix using
-    /// Householder tridiagonalisation + implicit QL.
+    /// Householder tridiagonalisation + implicit QL on the transposed basis.
     ///
     /// The matrix is symmetrised (`(A+Aᵀ)/2`) first, so small asymmetries from
     /// accumulated floating point error in gram computations are tolerated.
     pub fn new(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        if n == 0 {
-            return Err(LinalgError::Empty);
-        }
-        let mut z = a.clone();
-        z.symmetrize_mut();
+        let mut z = symmetrized(a)?;
+        let n = z.rows();
         let mut d = vec![0.0; n];
         let mut e = vec![0.0; n];
         tred2(&mut z, &mut d, &mut e);
-        tql2(&mut z, &mut d, &mut e)?;
-        // Sort eigenvalues (descending) and reorder eigenvector columns.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| d[j].partial_cmp(&d[i]).unwrap_or(std::cmp::Ordering::Equal));
-        let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-        let mut eigenvectors = Matrix::zeros(n, n);
-        for (new_j, &old_j) in order.iter().enumerate() {
-            for i in 0..n {
-                eigenvectors[(i, new_j)] = z[(i, old_j)];
+        // Transposed in place: until the sort copies the rows, the basis is
+        // the one n×n buffer the eigensolve holds.
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let t = z[(i, j)];
+                z[(i, j)] = z[(j, i)];
+                z[(j, i)] = t;
             }
         }
-        Ok(SymmetricEigen {
-            eigenvalues,
-            eigenvectors,
-        })
+        tql2_rows(&mut z, &mut d, &mut e)?;
+        Ok(Self::sorted(&d, &z))
     }
 
     /// Computes the decomposition with the textbook scalar kernels
@@ -102,35 +102,13 @@ impl SymmetricEigen {
     /// benchmarked against in `selection_latency`; production callers should
     /// use [`SymmetricEigen::new`].
     pub fn new_scalar(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        if n == 0 {
-            return Err(LinalgError::Empty);
-        }
-        let mut z = a.clone();
-        z.symmetrize_mut();
+        let mut z = symmetrized(a)?;
+        let n = z.rows();
         let mut d = vec![0.0; n];
         let mut e = vec![0.0; n];
         tred2_scalar(&mut z, &mut d, &mut e);
         tql2_scalar(&mut z, &mut d, &mut e)?;
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| d[j].partial_cmp(&d[i]).unwrap_or(std::cmp::Ordering::Equal));
-        let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-        let mut eigenvectors = Matrix::zeros(n, n);
-        for (new_j, &old_j) in order.iter().enumerate() {
-            for i in 0..n {
-                eigenvectors[(i, new_j)] = z[(i, old_j)];
-            }
-        }
-        Ok(SymmetricEigen {
-            eigenvalues,
-            eigenvectors,
-        })
+        Ok(Self::sorted(&d, &z.transpose()))
     }
 
     /// Computes the decomposition with the cyclic Jacobi method.
@@ -138,18 +116,8 @@ impl SymmetricEigen {
     /// O(n³) per sweep with a larger constant than [`SymmetricEigen::new`];
     /// intended for small matrices and cross-validation.
     pub fn jacobi(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        if n == 0 {
-            return Err(LinalgError::Empty);
-        }
-        let mut m = a.clone();
-        m.symmetrize_mut();
+        let mut m = symmetrized(a)?;
+        let n = m.rows();
         let mut v = Matrix::identity(n);
         let max_sweeps = 64;
         for _sweep in 0..max_sweeps {
@@ -202,20 +170,20 @@ impl SymmetricEigen {
                 }
             }
         }
-        let mut d: Vec<f64> = m.diag();
-        let mut order: Vec<usize> = (0..n).collect();
+        Ok(Self::sorted(&m.diag(), &v.transpose()))
+    }
+
+    /// Sorts the eigenpairs by descending eigenvalue: `rows` holds eigenvector
+    /// `j` in row `j`, paired with `d[j]`.
+    fn sorted(d: &[f64], rows: &Matrix) -> Self {
+        let mut order: Vec<usize> = (0..d.len()).collect();
         order.sort_by(|&i, &j| d[j].partial_cmp(&d[i]).unwrap_or(std::cmp::Ordering::Equal));
-        let mut eigenvectors = Matrix::zeros(n, n);
-        for (new_j, &old_j) in order.iter().enumerate() {
-            for i in 0..n {
-                eigenvectors[(i, new_j)] = v[(i, old_j)];
-            }
+        SymmetricEigen {
+            eigenvalues: order.iter().map(|&i| d[i]).collect(),
+            eigenvector_rows: rows
+                .select_rows(&order)
+                .expect("the sort order is a permutation of the rows"),
         }
-        d = order.iter().map(|&i| m[(i, i)]).collect();
-        Ok(SymmetricEigen {
-            eigenvalues: d,
-            eigenvectors,
-        })
     }
 
     /// Eigenvalues in descending order.
@@ -223,15 +191,10 @@ impl SymmetricEigen {
         &self.eigenvalues
     }
 
-    /// Matrix whose columns are the eigenvectors (ordered like the eigenvalues).
-    pub fn eigenvectors(&self) -> &Matrix {
-        &self.eigenvectors
-    }
-
-    /// Returns the matrix `Q` whose **rows** are the eigenvectors, matching
-    /// the paper's convention `WᵀW = Qᵀ D Q`.
-    pub fn eigenvector_rows(&self) -> Matrix {
-        self.eigenvectors.transpose()
+    /// The matrix `Q` whose **rows** are the eigenvectors, ordered like the
+    /// eigenvalues: the paper's convention `WᵀW = Qᵀ D Q`.
+    pub fn eigenvector_rows(&self) -> &Matrix {
+        &self.eigenvector_rows
     }
 
     /// Dimension of the decomposed matrix.
@@ -254,27 +217,43 @@ impl SymmetricEigen {
             .count()
     }
 
-    /// Reconstructs `V diag(λ) Vᵀ` (used by tests).
+    /// Reconstructs `Qᵀ diag(λ) Q` (used by tests).
     pub fn reconstruct(&self) -> Matrix {
         let n = self.dim();
+        let q = &self.eigenvector_rows;
         let mut out = Matrix::zeros(n, n);
-        for k in 0..n {
-            let lam = self.eigenvalues[k];
+        for (k, &lam) in self.eigenvalues.iter().enumerate() {
             if lam == 0.0 {
                 continue;
             }
-            for i in 0..n {
-                let vik = self.eigenvectors[(i, k)];
-                if vik == 0.0 {
+            let qk = q.row(k);
+            for (i, &qki) in qk.iter().enumerate() {
+                if qki == 0.0 {
                     continue;
                 }
-                for j in 0..n {
-                    out[(i, j)] += lam * vik * self.eigenvectors[(j, k)];
+                for (o, &qkj) in out.row_mut(i).iter_mut().zip(qk) {
+                    *o += lam * qki * qkj;
                 }
             }
         }
         out
     }
+}
+
+/// Checks that `a` is square and non-empty and returns `(A + Aᵀ)/2`.
+fn symmetrized(a: &Matrix) -> Result<Matrix> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare {
+            rows: a.rows(),
+            cols: a.cols(),
+        });
+    }
+    if a.rows() == 0 {
+        return Err(LinalgError::Empty);
+    }
+    let mut z = a.clone();
+    z.symmetrize_mut();
+    Ok(z)
 }
 
 /// Blocked vector reduction: `rows` items produce one `len`-vector.  Each
@@ -553,90 +532,64 @@ fn sign_of(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Applies one sweep of recorded adjacent-column Givens rotations to the
-/// eigenvector accumulation matrix.
+/// Applies one sweep of recorded Givens rotations to the basis rows.
 ///
-/// Each matrix row replays the whole rotation sequence on its own contiguous
-/// entries, so a sweep streams the matrix once (the rotation-at-a-time
-/// formulation walks two stride-`n` columns per rotation — a cache miss per
-/// element at selection sizes).  Rows are disjoint and each element's update
-/// order is the recorded order, so the result is bit-identical to the scalar
-/// formulation and across thread counts.
-fn apply_rotation_sweep(z: &mut Matrix, rotations: &[(usize, f64, f64)]) {
-    if rotations.is_empty() {
+/// Rotation `(i, c, s)` mixes rows `i` and `i + 1` entry by entry, as the
+/// textbook loop mixes columns `i` and `i + 1`; the rotations apply in
+/// recorded order, so every entry sees the textbook sequence (see the
+/// module docs).  Above the parallel floor the columns split into one
+/// chunk per thread and each thread replays the whole sweep on its chunk.
+fn rotate_rows(basis: &mut Matrix, rotations: &[(usize, f64, f64)]) {
+    // A sweep records descending `i` and touches rows `low..=high + 1`.
+    let (Some(&(high, _, _)), Some(&(low, _, _))) = (rotations.first(), rotations.last()) else {
         return;
-    }
-    let n = z.rows();
+    };
+    let n = basis.cols();
     let threads = if n * rotations.len() >= EIG_PARALLEL_WORK {
         parallel::threads_for(n)
     } else {
         1
     };
-    // Replay the sweep on four rows at a time: each row's replay is a serial
-    // dependency chain (rotation i reads what rotation i+1 wrote), so
-    // interleaving four independent chains keeps the multiply-add units fed.
-    // Row count and order per element are unchanged — grouping affects
-    // instruction scheduling only, never results.
-    let apply_quad = |rows: &mut [f64]| {
-        debug_assert_eq!(rows.len(), 4 * n);
-        let (r0, rest) = rows.split_at_mut(n);
-        let (r1, rest) = rest.split_at_mut(n);
-        let (r2, r3) = rest.split_at_mut(n);
+    let touched = &mut basis.as_mut_slice()[low * n..(high + 2) * n];
+    let width = n.div_ceil(threads);
+    let mut chunks: Vec<Vec<&mut [f64]>> = (0..threads).map(|_| Vec::new()).collect();
+    for row in touched.chunks_mut(n) {
+        for (chunk, piece) in chunks.iter_mut().zip(row.chunks_mut(width)) {
+            chunk.push(piece);
+        }
+    }
+    chunks.retain(|chunk| !chunk.is_empty());
+    let replay = |mut rows: Vec<&mut [f64]>| {
         for &(i, c, s) in rotations {
-            let f0 = r0[i + 1];
-            let f1 = r1[i + 1];
-            let f2 = r2[i + 1];
-            let f3 = r3[i + 1];
-            r0[i + 1] = s * r0[i] + c * f0;
-            r1[i + 1] = s * r1[i] + c * f1;
-            r2[i + 1] = s * r2[i] + c * f2;
-            r3[i + 1] = s * r3[i] + c * f3;
-            r0[i] = c * r0[i] - s * f0;
-            r1[i] = c * r1[i] - s * f1;
-            r2[i] = c * r2[i] - s * f2;
-            r3[i] = c * r3[i] - s * f3;
+            let [upper, lower] = rows
+                .get_disjoint_mut([i - low, i + 1 - low])
+                .expect("a rotation touches two distinct recorded rows");
+            for (a, b) in upper.iter_mut().zip(lower.iter_mut()) {
+                let f = *b;
+                *b = s * *a + c * f;
+                *a = c * *a - s * f;
+            }
         }
     };
-    let apply_single = |row: &mut [f64]| {
-        for &(i, c, s) in rotations {
-            let f = row[i + 1];
-            row[i + 1] = s * row[i] + c * f;
-            row[i] = c * row[i] - s * f;
-        }
-    };
-    let apply_slab = |slab: &mut [f64]| {
-        let mut quads = slab.chunks_exact_mut(4 * n);
-        for quad in &mut quads {
-            apply_quad(quad);
-        }
-        for row in quads.into_remainder().chunks_mut(n) {
-            apply_single(row);
-        }
-    };
-    let data = z.as_mut_slice();
-    if threads <= 1 {
-        apply_slab(data);
+    if chunks.len() == 1 {
+        chunks.into_iter().for_each(replay);
         return;
     }
-    // Chunk boundaries are multiples of four rows so the quad grouping — and
-    // with it the thread count — can never influence which rows share a
-    // chunk's remainder handling (results are identical either way; this
-    // just keeps every thread on the fast quad path).
-    let chunk = n.div_ceil(threads).next_multiple_of(4);
     std::thread::scope(|scope| {
-        for slab in data.chunks_mut(chunk * n) {
-            let apply_slab = &apply_slab;
-            scope.spawn(move || apply_slab(slab));
+        for chunk in chunks {
+            let replay = &replay;
+            scope.spawn(move || replay(chunk));
         }
     });
 }
 
 /// Implicit-shift QL iteration on a tridiagonal matrix (`d` diagonal, `e`
-/// sub-diagonal), accumulating eigenvectors into `z` (which must hold the
-/// orthogonal matrix produced by [`tred2`]).  Identical arithmetic to
-/// [`tql2_scalar`]; each sweep's rotations are recorded and applied in one
-/// row-parallel pass ([`apply_rotation_sweep`]).
-fn tql2(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
+/// sub-diagonal), accumulating eigenvectors into the rows of `rows` (which
+/// must hold the **transpose** of the orthogonal matrix produced by
+/// [`tred2`]).  Identical arithmetic to [`tql2_scalar`]; each sweep's
+/// rotations are recorded and applied to the basis rows in one pass
+/// ([`rotate_rows`]).
+fn tql2_rows(rows: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
     let n = d.len();
     if n == 1 {
         return Ok(());
@@ -706,11 +659,11 @@ fn tql2(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Record the rotation; the sweep is applied to the
-                // eigenvector matrix in one pass below.
+                // Record the rotation; the sweep is applied to the basis
+                // rows in one pass below.
                 rotations.push((i, c, s));
             }
-            apply_rotation_sweep(z, &rotations);
+            rotate_rows(rows, &rotations);
             if underflow {
                 continue;
             }
@@ -723,7 +676,8 @@ fn tql2(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
 }
 
 /// The textbook scalar QL iteration (rotation-at-a-time accumulation) — the
-/// **reference kernel** [`tql2`] is cross-validated and benchmarked against.
+/// **reference kernel** [`tql2_rows`] is cross-validated and benchmarked
+/// against.
 fn tql2_scalar(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
     let n = d.len();
     if n == 1 {
@@ -807,7 +761,8 @@ fn tql2_scalar(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
 mod tests {
     use super::*;
     use crate::approx_eq;
-    use crate::ops::gram;
+    use crate::decomp::test_grams::{all_range_gram, range_marginal_gram};
+    use crate::ops::{gram, kron, outer_gram};
 
     fn symmetric_test_matrix(n: usize, seed: u64) -> Matrix {
         let b = Matrix::from_fn(n, n, |i, j| {
@@ -832,9 +787,8 @@ mod tests {
                 );
             }
         }
-        // Orthonormality of eigenvectors.
-        let v = eig.eigenvectors();
-        let vtv = gram(v);
+        // Orthonormality of the eigenvector rows.
+        let vtv = outer_gram(eig.eigenvector_rows());
         for i in 0..a.rows() {
             for j in 0..a.cols() {
                 let e = if i == j { 1.0 } else { 0.0 };
@@ -876,7 +830,7 @@ mod tests {
         let a = Matrix::from_diag(&[5.0]);
         let eig = SymmetricEigen::new(&a).unwrap();
         assert_eq!(eig.eigenvalues(), &[5.0]);
-        assert_eq!(eig.eigenvectors()[(0, 0)].abs(), 1.0);
+        assert_eq!(eig.eigenvector_rows()[(0, 0)].abs(), 1.0);
     }
 
     #[test]
@@ -955,15 +909,47 @@ mod tests {
         assert_eq!(eig.rank(1e-9), 2);
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn eigenvector_rows_matches_transpose() {
-        let a = symmetric_test_matrix(6, 11);
-        let eig = SymmetricEigen::new(&a).unwrap();
-        let q = eig.eigenvector_rows();
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(q[(i, j)], eig.eigenvectors()[(j, i)]);
-            }
+    fn row_basis_ql_is_the_scalar_reference_bit_for_bit() {
+        // From one tred2 output, the row-basis QL must reproduce the
+        // textbook column-at-a-time QL exactly: every eigenvalue, and basis
+        // row j equal to reference column j.  The sizes make each sweep's
+        // early rotations exceed the parallel floor, so under
+        // MM_LINALG_THREADS > 1 the column-chunk split runs.  Replaying a
+        // sweep in any other rotation order changes these bits.
+        let cases = [
+            ("all-range 192", all_range_gram(192)),
+            (
+                "all-range 16x12",
+                kron(&all_range_gram(16), &all_range_gram(12)),
+            ),
+            (
+                "2-way range marginals 8x8x4",
+                range_marginal_gram(&[8, 8, 4]),
+            ),
+            ("random symmetric 160", symmetric_test_matrix(160, 77)),
+        ];
+        for (name, a) in cases {
+            let n = a.rows();
+            let mut z = a.clone();
+            z.symmetrize_mut();
+            let mut d = vec![0.0; n];
+            let mut e = vec![0.0; n];
+            tred2(&mut z, &mut d, &mut e);
+            let (mut d_ref, mut e_ref) = (d.clone(), e.clone());
+            let mut rows = z.transpose();
+            tql2_scalar(&mut z, &mut d_ref, &mut e_ref).unwrap();
+            tql2_rows(&mut rows, &mut d, &mut e).unwrap();
+            assert_eq!(bits(&d), bits(&d_ref), "{name}: eigenvalues");
+            assert_eq!(
+                bits(rows.as_slice()),
+                bits(z.transpose().as_slice()),
+                "{name}: basis"
+            );
         }
     }
 

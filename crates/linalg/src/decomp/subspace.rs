@@ -99,7 +99,7 @@ impl TruncatedEigen {
         let mut projected = ops::matmul_transpose_left(&v, &gv)?;
         projected.symmetrize_mut();
         let eig = SymmetricEigen::new(&projected)?;
-        let rotated = ops::matmul(&v, eig.eigenvectors())?;
+        let rotated = ops::matmul(&v, &eig.eigenvector_rows().transpose())?;
 
         Ok(TruncatedEigen {
             ritz_values: eig.eigenvalues().to_vec(),

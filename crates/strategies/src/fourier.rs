@@ -177,13 +177,13 @@ pub fn reconstructs_workload(strategy: &Strategy, workload_gram: &Matrix, tol: f
         if lam <= 1e-10 * max_ev {
             continue;
         }
-        for i in 0..n {
-            let vik = eig.eigenvectors()[(i, k)];
+        let qk = eig.eigenvector_rows().row(k);
+        for (i, &vik) in qk.iter().enumerate() {
             if vik == 0.0 {
                 continue;
             }
-            for j in 0..n {
-                p[(i, j)] += vik * eig.eigenvectors()[(j, k)];
+            for (pij, &vjk) in p.row_mut(i).iter_mut().zip(qk) {
+                *pij += vik * vjk;
             }
         }
     }

@@ -25,6 +25,7 @@ use crate::tensor::kron_apply;
 use crate::Workload;
 use mm_linalg::{ops, Matrix};
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Whether marginal queries are point (single margin value) or range queries
 /// on the margin.
@@ -44,6 +45,12 @@ pub struct MarginalWorkload {
     kind: MarginalKind,
     normalized: bool,
     fingerprint: FingerprintMemo,
+    /// Per-attribute evaluation factors, built on first use and kept by
+    /// clones and [`MarginalWorkload::into_normalized`]: the factor of an
+    /// attribute in a subset (identity or all-range matrix), built only for
+    /// attributes that some subset contains, and the all-ones row that sums
+    /// it out.
+    factors: OnceLock<Vec<(Option<Matrix>, Matrix)>>,
 }
 
 impl MarginalWorkload {
@@ -74,6 +81,7 @@ impl MarginalWorkload {
             kind,
             normalized: false,
             fingerprint: FingerprintMemo::default(),
+            factors: OnceLock::new(),
         }
     }
 
@@ -197,20 +205,32 @@ impl MarginalWorkload {
         ops::kron_all(&factors)
     }
 
-    /// Per-attribute factor matrices for evaluation (unnormalized).
-    fn subset_factors(&self, subset: &[usize]) -> Vec<Matrix> {
-        self.domain
-            .sizes()
-            .iter()
-            .enumerate()
-            .map(|(a, &d)| {
-                if Self::in_subset(subset, a) {
-                    match self.kind {
+    /// Unnormalized evaluation factors of one subset, one per attribute.
+    fn subset_factors(&self, subset: &[usize]) -> Vec<&Matrix> {
+        let factors = self.factors.get_or_init(|| {
+            self.domain
+                .sizes()
+                .iter()
+                .enumerate()
+                .map(|(a, &d)| {
+                    let in_any = self.subsets.iter().any(|s| Self::in_subset(s, a));
+                    let kept = in_any.then(|| match self.kind {
                         MarginalKind::Point => Matrix::identity(d),
                         MarginalKind::Range => all_range_1d_matrix(d),
-                    }
+                    });
+                    (kept, Matrix::filled(1, d, 1.0))
+                })
+                .collect()
+        });
+        factors
+            .iter()
+            .enumerate()
+            .map(|(a, (kept, summed))| {
+                if Self::in_subset(subset, a) {
+                    kept.as_ref()
+                        .expect("every attribute of a subset has its kept factor")
                 } else {
-                    Matrix::filled(1, d, 1.0)
+                    summed
                 }
             })
             .collect()
@@ -296,9 +316,7 @@ impl Workload for MarginalWorkload {
         let shape = self.domain.sizes().to_vec();
         let mut out = Vec::with_capacity(self.query_count());
         for s in &self.subsets {
-            let factors = self.subset_factors(s);
-            let refs: Vec<&Matrix> = factors.iter().collect();
-            let mut vals = kron_apply(&refs, &shape, x);
+            let mut vals = kron_apply(&self.subset_factors(s), &shape, x);
             if self.normalized {
                 let norms = self.subset_squared_norms(s);
                 for (v, n2) in vals.iter_mut().zip(norms.iter()) {
@@ -342,8 +360,10 @@ impl Workload for MarginalWorkload {
         }
         let mut blocks: Option<Matrix> = None;
         for s in &self.subsets {
-            let factors = self.subset_factors(s);
-            let mut block = ops::kron_all(&factors);
+            let mut block = self
+                .subset_factors(s)
+                .into_iter()
+                .fold(Matrix::identity(1), |acc, f| ops::kron(&acc, f));
             if self.normalized {
                 let norms = self.subset_squared_norms(s);
                 for (r, n2) in norms.iter().enumerate() {
@@ -464,6 +484,68 @@ mod tests {
         assert_eq!(fast.len(), w.query_count());
         for (f, s) in fast.iter().zip(slow.iter()) {
             assert!(approx_eq(*f, *s, 1e-10));
+        }
+    }
+
+    #[test]
+    fn kept_factors_evaluate_bit_for_bit_like_fresh_ones() {
+        // Reference: the factors rebuilt from scratch for every subset, as
+        // each evaluation did before they were kept.  Kept factors must give
+        // the same bits, also through a clone and `into_normalized`.
+        fn fresh(w: &MarginalWorkload, x: &[f64]) -> Vec<u64> {
+            let shape = w.domain().sizes();
+            let mut out = Vec::new();
+            for s in w.subsets() {
+                let factors: Vec<Matrix> = shape
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &d)| match (s.contains(&a), w.kind()) {
+                        (true, MarginalKind::Point) => Matrix::identity(d),
+                        (true, MarginalKind::Range) => all_range_1d_matrix(d),
+                        (false, _) => Matrix::filled(1, d, 1.0),
+                    })
+                    .collect();
+                let refs: Vec<&Matrix> = factors.iter().collect();
+                let mut vals = kron_apply(&refs, shape, x);
+                if w.is_normalized() {
+                    for (v, n2) in vals.iter_mut().zip(w.subset_squared_norms(s)) {
+                        *v /= n2.sqrt();
+                    }
+                }
+                out.extend(vals.iter().map(|v| v.to_bits()));
+            }
+            out
+        }
+        let bits = |v: Vec<f64>| v.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let mut rng = StdRng::seed_from_u64(5);
+        // The 2-way marginals on 8×8×4, then attributes in no subset: a
+        // large one beside a kept one, and the 0-way total.  No kept factor
+        // is built for an attribute that no subset contains.
+        for kind in [MarginalKind::Point, MarginalKind::Range] {
+            for w in [
+                MarginalWorkload::all_k_way(Domain::new(&[8, 8, 4]), 2, kind),
+                MarginalWorkload::from_subsets(Domain::new(&[256, 16]), vec![vec![1]], kind),
+                MarginalWorkload::all_k_way(Domain::new(&[256, 16]), 0, kind),
+            ] {
+                let sizes = w.domain().sizes().to_vec();
+                let x: Vec<f64> = (0..w.dim()).map(|_| rng.gen_range(-1e3..1e3)).collect();
+                assert_eq!(bits(w.evaluate(&x)), fresh(&w, &x), "{kind:?} {sizes:?}");
+                let kept = w.factors.get().unwrap();
+                for (a, (factor, _)) in kept.iter().enumerate() {
+                    let in_any = w.subsets().iter().any(|s| s.contains(&a));
+                    assert_eq!(factor.is_some(), in_any, "{kind:?} {sizes:?} attribute {a}");
+                }
+                let label = format!("{kind:?} {sizes:?}");
+                assert_eq!(bits(w.evaluate(&x)), fresh(&w, &x), "{label}, kept");
+                let copy = w.clone();
+                assert_eq!(bits(copy.evaluate(&x)), fresh(&w, &x), "{label}, clone");
+                let normalized = copy.into_normalized();
+                assert_eq!(
+                    bits(normalized.evaluate(&x)),
+                    fresh(&normalized, &x),
+                    "{label}, normalized"
+                );
+            }
         }
     }
 

@@ -16,7 +16,8 @@
 //! dimensions) is therefore never materialised.  Query evaluation uses a
 //! summed-area table, so even the 665 000 range queries of the census domain
 //! are evaluated in milliseconds: in 1D one contiguous prefix difference per
-//! query, in several dimensions one allocation-free odometer walk.
+//! query, in 2D contiguous runs over two table rows, in more dimensions one
+//! allocation-free odometer walk.
 
 use crate::domain::Domain;
 use crate::fingerprint::{Fingerprint, FingerprintMemo, NanGramEntry};
@@ -216,6 +217,59 @@ fn evaluate_1d(t: &[f64], normalized: bool, out: &mut Vec<f64>) {
     }
 }
 
+/// Answers every 2D box of a `d0 × d1` domain in box order from the
+/// summed-area table `t`, appending to `out`.  For each pair of rows
+/// `(lo0, hi0)` and each `lo1`, the boxes `hi1 = lo1..d1` are one contiguous
+/// run over table rows `hi0` and `lo0 − 1`.  Each box adds its corners in
+/// [`box_sum`]'s order,
+/// `0.0 + T[hi0][hi1] − T[lo0−1][hi1] − T[hi0][lo1−1] + T[lo0−1][lo1−1]`,
+/// skipping the corners off the table as it does, so the bits (−0.0
+/// included) are the same.
+fn evaluate_2d(t: &[f64], d0: usize, d1: usize, normalized: bool, out: &mut Vec<f64>) {
+    let mut roots = vec![0.0; d1];
+    for lo0 in 0..d0 {
+        for hi0 in lo0..d0 {
+            let high = &t[hi0 * d1..(hi0 + 1) * d1];
+            let low = lo0.checked_sub(1).map(|p| &t[p * d1..(p + 1) * d1]);
+            if normalized {
+                // `roots[len1 − 1]` is `sqrt(volume)`, rounded like the
+                // per-box root it replaces.
+                let len0 = hi0 - lo0 + 1;
+                for (len1, root) in (1..=d1).zip(roots.iter_mut()) {
+                    *root = ((len0 * len1) as f64).sqrt();
+                }
+            }
+            for lo1 in 0..d1 {
+                let start = out.len();
+                let run = &high[lo1..];
+                match (low, lo1.checked_sub(1)) {
+                    (None, None) => out.extend(run.iter().map(|&a| 0.0 + a)),
+                    (None, Some(p)) => {
+                        let c = high[p];
+                        out.extend(run.iter().map(|&a| 0.0 + a - c));
+                    }
+                    (Some(low), None) => {
+                        out.extend(run.iter().zip(&low[lo1..]).map(|(&a, &b)| 0.0 + a - b));
+                    }
+                    (Some(low), Some(p)) => {
+                        let (c, e) = (high[p], low[p]);
+                        out.extend(
+                            run.iter()
+                                .zip(&low[lo1..])
+                                .map(|(&a, &b)| 0.0 + a - b - c + e),
+                        );
+                    }
+                }
+                if normalized {
+                    for (v, root) in out[start..].iter_mut().zip(&roots) {
+                        *v /= root;
+                    }
+                }
+            }
+        }
+    }
+}
+
 impl Workload for AllRangeWorkload {
     fn dim(&self) -> usize {
         self.domain.n_cells()
@@ -249,9 +303,16 @@ impl Workload for AllRangeWorkload {
         let table = summed_area_table(x, shape);
         let mut out = Vec::with_capacity(self.query_count());
         let normalized = self.normalized;
-        if shape.len() == 1 {
-            evaluate_1d(&table, normalized, &mut out);
-            return out;
+        match *shape {
+            [_] => {
+                evaluate_1d(&table, normalized, &mut out);
+                return out;
+            }
+            [d0, d1] => {
+                evaluate_2d(&table, d0, d1, normalized, &mut out);
+                return out;
+            }
+            _ => {}
         }
         self.for_each_box(|b| {
             let mut v = box_sum(&table, shape, &b.lows, &b.highs);
@@ -659,7 +720,17 @@ mod tests {
 
     #[test]
     fn evaluate_is_the_reference_box_walk_bit_for_bit() {
-        let domains: [&[usize]; 6] = [&[1], &[2], &[37], &[1, 1], &[16, 24], &[3, 4, 5]];
+        let domains: [&[usize]; 9] = [
+            &[1],
+            &[2],
+            &[37],
+            &[1, 1],
+            &[1, 37],
+            &[37, 1],
+            &[16, 24],
+            &[16, 32],
+            &[3, 4, 5],
+        ];
         for (case, sizes) in domains.into_iter().enumerate() {
             let n: usize = sizes.iter().product();
             let x = signed_zero_cells(n, 40 + case as u64);

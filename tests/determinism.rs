@@ -155,7 +155,7 @@ fn run_kernels() -> KernelBits {
         cholesky_factor: bits_of(factor.l().as_slice()),
         trace_term: trace.to_bits(),
         eigenvalues: bits_of(eig.eigenvalues()),
-        eigenvectors: bits_of(eig.eigenvectors().as_slice()),
+        eigenvectors: bits_of(eig.eigenvector_rows().as_slice()),
         syrk: bits_of(c.as_slice()),
         trsm: bits_of(x.as_slice()),
         matmul: bits_of(prod.as_slice()),
