@@ -10,23 +10,18 @@
 //! * `engine_answer_batch` — `Engine::answer_batch` (one cache lookup, one
 //!   factor, one blocked pass) against K `Engine::answer` calls.
 //!
-//! Both sides of every pair answer the *same* batch, so `speedup =
-//! baseline/batched` is the end-to-end win of vectorising.  The run is
+//! Each record has params `n` and `k`; its total is the batched time and
+//! its baseline the per-vector loop answering the *same* batch, so
+//! `baseline / total` is the end-to-end win of vectorising.  The run is
 //! fixed-iteration (a fixed sample count per benchmark, no wall-clock
 //! targeting), which keeps the CI gate's operation count deterministic.
 //!
-//! Environment knobs (all optional):
-//!
-//! * `MM_BENCH_QUICK=1` — short CI mode: fewer samples, K ≤ 64;
-//! * `MM_BENCH_JSON=PATH` — where to write `BENCH_batch.json` (default:
-//!   the workspace root);
-//! * `MM_BENCH_GATE=1` — exit non-zero unless every K ≥ 8 `solve_multi` /
-//!   `engine_answer_batch` scenario shows `speedup >= 1.0` (the coarse CI
-//!   perf-regression gate; the thin-margin raw `matmul` rows are recorded
-//!   but not gated).
+//! `MM_BENCH_QUICK=1` is CI's short mode: fewer samples, K ≤ 64.
+//! `MM_BENCH_JSON` and `MM_BENCH_GATE` are those of every bench
+//! ([`BenchEnv`]); the gate is [`batch_gates`].
 
 use criterion::{black_box, Criterion};
-use mm_bench::report::{BatchBenchRecord, BatchBenchReport};
+use mm_bench::report::{batch_gates, BenchEnv, BenchRecord, BenchReport};
 use mm_core::engine::{Engine, FixedStrategySelector};
 use mm_core::PrivacyParams;
 use mm_linalg::decomp::Cholesky;
@@ -44,10 +39,7 @@ struct Config {
 }
 
 impl Config {
-    fn from_env() -> Self {
-        let quick = std::env::var("MM_BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    fn new(quick: bool) -> Self {
         Config {
             quick,
             ns: vec![256, 1024],
@@ -76,7 +68,7 @@ fn data_matrix(n: usize, k: usize) -> Matrix {
     Matrix::from_fn(n, k, |i, c| 50.0 + ((i * 13 + c * 31) % 97) as f64)
 }
 
-fn bench_matmul(c: &mut Criterion, report: &mut BatchBenchReport, cfg: &Config, n: usize) {
+fn bench_matmul(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
     let a = attribute_basis(n);
     let mut group = c.benchmark_group(format!("batch_matmul/n={n}"));
     group.sample_size(cfg.samples(n));
@@ -93,18 +85,15 @@ fn bench_matmul(c: &mut Criterion, report: &mut BatchBenchReport, cfg: &Config, 
                 }
             })
         });
-        report.push(BatchBenchRecord::new(
-            "matmul",
-            n,
-            k,
-            batched.min_ns(),
-            baseline.min_ns(),
-        ));
+        report.records.push(
+            BenchRecord::new("matmul", &[("n", n), ("k", k)], batched.min_ns())
+                .with_baseline(baseline.min_ns()),
+        );
     }
     group.finish();
 }
 
-fn bench_solve_multi(c: &mut Criterion, report: &mut BatchBenchReport, cfg: &Config, n: usize) {
+fn bench_solve_multi(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
     // A dense, well-conditioned SPD system: gram of a dense matrix plus a
     // strong diagonal, so the factor L has no zero entries to skip.
     let b = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 11) % 19) as f64 / 19.0 - 0.5);
@@ -131,18 +120,15 @@ fn bench_solve_multi(c: &mut Criterion, report: &mut BatchBenchReport, cfg: &Con
                 }
             })
         });
-        report.push(BatchBenchRecord::new(
-            "solve_multi",
-            n,
-            k,
-            batched.min_ns(),
-            baseline.min_ns(),
-        ));
+        report.records.push(
+            BenchRecord::new("solve_multi", &[("n", n), ("k", k)], batched.min_ns())
+                .with_baseline(baseline.min_ns()),
+        );
     }
     group.finish();
 }
 
-fn bench_engine(c: &mut Criterion, report: &mut BatchBenchReport, cfg: &Config, n: usize) {
+fn bench_engine(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
     // A dense orthonormal strategy behind a fixed selector: selection is
     // free, so the timings isolate the answering pipeline the batch path
     // vectorises (cache lookup, A·X, noise, AᵀY, triangular solves).
@@ -175,74 +161,27 @@ fn bench_engine(c: &mut Criterion, report: &mut BatchBenchReport, cfg: &Config, 
                 }
             })
         });
-        report.push(BatchBenchRecord::new(
-            "engine_answer_batch",
-            n,
-            k,
-            batched.min_ns(),
-            baseline.min_ns(),
-        ));
+        report.records.push(
+            BenchRecord::new(
+                "engine_answer_batch",
+                &[("n", n), ("k", k)],
+                batched.min_ns(),
+            )
+            .with_baseline(baseline.min_ns()),
+        );
     }
     group.finish();
 }
 
-fn default_json_path() -> String {
-    // Anchor on the crate manifest so the artifact lands at the workspace
-    // root regardless of the invoking directory.
-    format!("{}/../../BENCH_batch.json", env!("CARGO_MANIFEST_DIR"))
-}
-
 fn main() {
-    let cfg = Config::from_env();
+    let env = BenchEnv::read();
+    let cfg = Config::new(env.quick);
     let mut criterion = Criterion::default();
-    let mut report = BatchBenchReport::new(cfg.quick);
+    let mut report = BenchReport::new("batch", cfg.quick);
     for &n in &cfg.ns {
         bench_matmul(&mut criterion, &mut report, &cfg, n);
         bench_solve_multi(&mut criterion, &mut report, &cfg, n);
         bench_engine(&mut criterion, &mut report, &cfg, n);
     }
-
-    println!("\n== speedups (baseline / batched) ==");
-    for r in &report.records {
-        println!(
-            "{:<22} n={:<5} K={:<4} {:>8.2}x",
-            r.scenario, r.n, r.k, r.speedup
-        );
-    }
-
-    let path = std::env::var("MM_BENCH_JSON").unwrap_or_else(|_| default_json_path());
-    match report.write(&path) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if std::env::var("MM_BENCH_GATE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        // Gate only the scenarios with a wide margin (5-15x for the engine,
-        // 2-10x for the solves): the raw matmul's K >= 8 edge is ~1.5x,
-        // thin enough that a noisy shared CI runner could trip a coarse
-        // >= 1.0x check without any code regression.  It is still measured
-        // and recorded in the JSON above.
-        let gated = BatchBenchReport {
-            quick: report.quick,
-            records: report
-                .records
-                .iter()
-                .filter(|r| r.scenario != "matmul")
-                .cloned()
-                .collect(),
-        };
-        match gated.gate(8, 1.0) {
-            Ok(()) => println!("perf gate passed: batched >= per-vector at K >= 8"),
-            Err(failures) => {
-                eprintln!("perf gate FAILED: {failures}");
-                std::process::exit(1);
-            }
-        }
-    }
+    env.emit(&report, batch_gates);
 }

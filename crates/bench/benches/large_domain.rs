@@ -5,39 +5,36 @@
 //! fitting the time/memory budget (n ≈ 2–4k).  The structured path selects a
 //! tree strategy in O(n), observes through the run-length operator, and
 //! inverts the observations exactly in O(n) — no materialised matrix
-//! anywhere — so range workloads at n = 65 536 answer in milliseconds.  Two
-//! scenarios per domain size, answering the same deterministic interval
-//! workload:
+//! anywhere — so range workloads at n = 65 536 answer in milliseconds.  One
+//! `structured` record per domain size (params `n` and `queries`), both
+//! sides answering the same deterministic interval workload:
 //!
-//! * `structured` — selection via [`TreeStructuredSelector`] plus one
+//! * its total is selection via [`TreeStructuredSelector`] plus one
 //!   end-to-end [`Engine::answer_structured`] (noise, the strategy's exact
-//!   least squares, prefix-sum evaluation) on a warm engine;
-//! * `dense` — the matrix mechanism without structure: the *materialised*
-//!   strategy operator ([`ExplicitOperator`], which routes through the
-//!   blocked `ops::matmul` kernels) observes, conjugate gradient over dense
-//!   matvecs reconstructs, and the interval operator's `apply` evaluates.
-//!   Densification is its setup cost.  Above the operator's
-//!   materialisation cap the scenario is recorded as skipped — that cliff
-//!   is the point of the bench.
+//!   least squares, prefix-sum evaluation) on a warm engine, and
+//!   `detail_ns` holds the two as `select` and `answer`;
+//! * its baseline is the matrix mechanism without structure: the
+//!   *materialised* strategy operator ([`ExplicitOperator`], which routes
+//!   through the blocked `ops::matmul` kernels) observes, conjugate
+//!   gradient over dense matvecs reconstructs, and the interval operator's
+//!   `apply` evaluates, with densification as its setup.  Above the
+//!   operator's materialisation cap the baseline cannot run and is `null` —
+//!   that cliff is the point of the bench.
 //!
 //! The measured difference is therefore the whole answer: O(n log n)
 //! observation, O(n) inference and O(n + m) evaluation against O(n²) dense
 //! matvecs inside an iterative solve.
 //!
-//! Environment knobs (all optional):
-//!
-//! * `MM_BENCH_QUICK=1` — short CI mode: fewer samples, fewer sizes (the
-//!   headline n = 65 536 still runs — it is seconds, not minutes);
-//! * `MM_BENCH_JSON=PATH` — where to write `BENCH_large_domain.json`
-//!   (default: the workspace root);
-//! * `MM_BENCH_GATE=1` — exit non-zero unless structured end-to-end beats
-//!   dense at every measured n >= 4096 and completes n = 65 536.
+//! `MM_BENCH_QUICK=1` is CI's short mode: fewer samples, fewer sizes (the
+//! headline n = 65 536 still runs — it takes milliseconds).
+//! `MM_BENCH_JSON` and `MM_BENCH_GATE` are those of every bench
+//! ([`BenchEnv`]); the gate is [`large_domain_gates`].
 
 use criterion::{black_box, Criterion};
-use mm_bench::report::{LargeDomainRecord, LargeDomainReport};
+use mm_bench::report::{large_domain_gates, BenchEnv, BenchRecord, BenchReport};
 use mm_core::engine::{Engine, StructuredSelector, TreeStructuredSelector};
 use mm_core::PrivacyParams;
-use mm_linalg::{parallel, ExplicitOperator, LinearOperator};
+use mm_linalg::{ExplicitOperator, LinearOperator};
 use mm_opt::{cg_normal_equations, CgOptions};
 use mm_workload::{RangeQueryWorkload, StructuredWorkload};
 use rand::rngs::StdRng;
@@ -49,10 +46,7 @@ struct Config {
 }
 
 impl Config {
-    fn from_env() -> Self {
-        let quick = std::env::var("MM_BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    fn new(quick: bool) -> Self {
         Config {
             quick,
             ns: if quick {
@@ -95,7 +89,7 @@ fn data(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn bench_domain(c: &mut Criterion, report: &mut LargeDomainReport, cfg: &Config, n: usize) {
+fn bench_domain(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
     let m = n.min(1024);
     let workload = RangeQueryWorkload::from_intervals(n, intervals(n, m));
     let descriptor = workload.descriptor();
@@ -120,25 +114,25 @@ fn bench_domain(c: &mut Criterion, report: &mut LargeDomainReport, cfg: &Config,
     let answer = group.bench_function_stats("structured/answer", |b| {
         b.iter(|| black_box(engine.answer_structured(&workload, &x, &mut rng).unwrap()))
     });
-    report.push(LargeDomainRecord::measured(
+    let record = BenchRecord::new(
         "structured",
-        n,
-        m,
-        select.min_ns(),
-        answer.min_ns(),
-    ));
+        &[("n", n), ("queries", m)],
+        select.min_ns() + answer.min_ns(),
+    )
+    .with_detail("select", select.min_ns())
+    .with_detail("answer", answer.min_ns());
 
     // Dense baseline: materialise the same strategy operator, observe with
     // the same noise calibration, reconstruct by CG over dense matvecs and
     // evaluate through the interval operator.  Past the materialisation
-    // cap the scenario cannot run.
+    // cap it cannot run.
     let op = strategy.operator().clone();
     if op.materialize().is_none() {
         println!(
             "large_domain/n={n}/dense: skipped (operator above the \
              materialisation cap)"
         );
-        report.push(LargeDomainRecord::skipped("dense", n, m));
+        report.records.push(record);
         group.finish();
         return;
     }
@@ -167,68 +161,19 @@ fn bench_domain(c: &mut Criterion, report: &mut LargeDomainReport, cfg: &Config,
             black_box(wop.apply(&estimate))
         })
     });
-    report.push(LargeDomainRecord::measured(
-        "dense",
-        n,
-        m,
-        densify.min_ns(),
-        answer.min_ns(),
-    ));
+    report
+        .records
+        .push(record.with_baseline(densify.min_ns() + answer.min_ns()));
     group.finish();
 }
 
-fn default_json_path() -> String {
-    // Anchor on the crate manifest so the artifact lands at the workspace
-    // root regardless of the invoking directory.
-    format!(
-        "{}/../../BENCH_large_domain.json",
-        env!("CARGO_MANIFEST_DIR")
-    )
-}
-
 fn main() {
-    let cfg = Config::from_env();
+    let env = BenchEnv::read();
+    let cfg = Config::new(env.quick);
     let mut criterion = Criterion::default();
-    let mut report = LargeDomainReport::new(cfg.quick, parallel::max_threads());
+    let mut report = BenchReport::new("large_domain", cfg.quick);
     for &n in &cfg.ns {
         bench_domain(&mut criterion, &mut report, &cfg, n);
     }
-
-    println!("\n== end-to-end (select + answer) ==");
-    for r in &report.records {
-        if r.skipped {
-            println!("{:<12} n={:<6} skipped", r.scenario, r.n);
-        } else {
-            println!("{:<12} n={:<6} {:>12.0} ns", r.scenario, r.n, r.total_ns());
-        }
-    }
-
-    let path = std::env::var("MM_BENCH_JSON").unwrap_or_else(|_| default_json_path());
-    match report.write(&path) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if std::env::var("MM_BENCH_GATE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        // Two load-bearing claims: the matrix-free path must beat the
-        // materialised baseline once the domain is large (n >= 4096), and
-        // it must actually complete the headline n = 65 536 — the size the
-        // dense path cannot reach at all.
-        match report.gate(4096, 65536) {
-            Ok(()) => println!(
-                "perf gate passed: structured >= dense at n >= 4096, \
-                 n = 65536 completed"
-            ),
-            Err(failures) => {
-                eprintln!("perf gate FAILED: {failures}");
-                std::process::exit(1);
-            }
-        }
-    }
+    env.emit(&report, large_domain_gates);
 }

@@ -1,56 +1,51 @@
-//! Cold strategy selection vs the scalar-kernel baseline — the
-//! perf-trajectory bench behind `BENCH_selection.json`.
+//! Cold strategy selection against reference baselines — the bench behind
+//! `BENCH_selection.json`.
 //!
-//! The engine's cache-hit answer path has been measured (and gated) since
-//! PR 3; this bench finally covers the *expensive* path: what a cache miss
-//! costs, and how much the blocked/threaded selection kernels of this PR
-//! bought over the scalar reference kernels they replaced.  Scenarios, each
-//! at n ∈ {256, 512, 1024} cells (quick mode stops at 512):
+//! It measures what a cache miss costs, what the blocked/threaded selection
+//! kernels gain over the textbook scalar kernels kept as references, and
+//! what a cache hit and the Low-Rank Mechanism save.  Every record has
+//! param `n`; its total is the production path and its baseline the
+//! reference named below.  Scenarios, each at n ∈ {256, 512, 1024} cells
+//! (quick mode stops at 512):
 //!
 //! * `cholesky` — blocked right-looking [`Cholesky::new`] against the scalar
 //!   reference [`Cholesky::new_scalar`] on a dense SPD gram;
-//! * `eigen` — the restructured [`SymmetricEigen::new`] against
+//! * `eigen` — [`SymmetricEigen::new`] against
 //!   [`SymmetricEigen::new_scalar`] on the all-range workload gram (the
 //!   degenerate spectrum selection actually faces, which is much harder for
 //!   the QL iteration than a random one);
 //! * `selection_eigen_design` — the full cold miss path (Eigen-Design
-//!   selection + strategy-gram factor + Prop. 4 trace term) on the new
-//!   kernels against the same pipeline rebuilt on the scalar kernels,
-//!   including the seed-era column-by-column trace evaluation.  This is the
-//!   headline number: ≥ 4x at n = 1024;
+//!   selection + strategy-gram factor + Prop. 4 trace term) on the
+//!   production kernels against the same pipeline rebuilt on the scalar
+//!   kernels, with the trace term taken one scalar solve per identity
+//!   column;
 //! * `selection_eigen_design_hit` / `selection_design_set_hit` /
 //!   `selection_wavelet_hit` / `selection_workload_rows_hit` — a warm
 //!   `Engine::select` against the cold miss for the eigen-design, weighted
 //!   design-set (Fourier), Haar-wavelet and workload-rows selectors: the
 //!   cache win on the same engine the serving path uses (workload-rows runs
 //!   on the n-row prefix workload; the others on all-range);
-//! * `selection_low_rank_r{16,64,256}` — the Low-Rank Mechanism's cold miss
-//!   (`Engine::builder().low_rank(r)`: truncated eigendecomposition +
+//! * `selection_low_rank` (params `n`, `r`) — the Low-Rank Mechanism's cold
+//!   miss (`Engine::builder().low_rank(r)`: truncated eigendecomposition +
 //!   eigen-design in the r-dimensional subspace, O(nr² + r³)) against the
-//!   full dense cold miss on the same engine machinery, at n ∈ {1024, 4096}
-//!   (quick mode runs n = 4096 at r ∈ {16, 64} — the gated pair).
+//!   full dense cold miss on the same engine machinery, at r ∈ {16, 64, 256}
+//!   and n ∈ {1024, 4096} (quick mode runs n = 4096 at r ∈ {16, 64}, the
+//!   gated pair).
 //!
-//! Environment knobs (all optional):
-//!
-//! * `MM_BENCH_QUICK=1` — short CI mode: fewer samples, n ≤ 512 for the
-//!   kernel scenarios (the low-rank scenario still runs its gated n = 4096
-//!   pair — that comparison *is* the point of the low-rank path);
-//! * `MM_BENCH_JSON=PATH` — where to write `BENCH_selection.json` (default:
-//!   the workspace root);
-//! * `MM_BENCH_GATE=1` — exit non-zero unless (a) the blocked-parallel
-//!   Cholesky beats the scalar reference at every measured n ≥ 512, and
-//!   (b) the low-rank cold miss at n = 4096 beats the full dense cold miss
-//!   at every gated rank r ≤ 64 (the full-path and hit ratios are recorded
-//!   but not gated).
+//! `MM_BENCH_QUICK=1` is CI's short mode: fewer samples, n ≤ 512 for the
+//! kernel scenarios (the low-rank scenario still runs its gated n = 4096
+//! pair — that comparison *is* the point of the low-rank path).
+//! `MM_BENCH_JSON` and `MM_BENCH_GATE` are those of every bench
+//! ([`BenchEnv`]); the gate is [`selection_gates`].
 
 use criterion::{black_box, Criterion};
-use mm_bench::report::{SelectionBenchRecord, SelectionBenchReport};
+use mm_bench::report::{selection_gates, BenchEnv, BenchRecord, BenchReport};
 use mm_bench::runs::timed;
 use mm_core::design_set::{weighted_design_strategy_with_costs, DesignWeightingOptions};
 use mm_core::engine::{DesignSetSelector, Engine};
 use mm_core::{eigen_design, EigenDesignOptions, PrivacyParams};
 use mm_linalg::decomp::{Cholesky, SymmetricEigen};
-use mm_linalg::{ops, parallel, Matrix};
+use mm_linalg::{ops, Matrix};
 use mm_strategies::Strategy;
 use mm_workload::prefix::PrefixWorkload;
 use mm_workload::range::AllRangeWorkload;
@@ -66,10 +61,7 @@ struct Config {
 }
 
 impl Config {
-    fn from_env() -> Self {
-        let quick = std::env::var("MM_BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    fn new(quick: bool) -> Self {
         Config {
             quick,
             ns: if quick {
@@ -110,8 +102,8 @@ fn spd_gram(n: usize) -> Matrix {
 
 /// The Eigen-Design selection pipeline rebuilt on the scalar reference
 /// kernels: scalar eigendecomposition, the shared weighting program, a
-/// scalar Cholesky of the strategy gram, and the seed-era column-by-column
-/// trace evaluation.  This is exactly the work a pre-PR cache miss did.
+/// scalar Cholesky of the strategy gram, and the trace term taken one scalar
+/// solve per column of the identity.
 fn scalar_miss_path(gram: &Matrix) -> f64 {
     let eig = SymmetricEigen::new_scalar(gram).expect("gram is symmetric");
     let vals: Vec<f64> = eig
@@ -141,7 +133,7 @@ fn scalar_miss_path(gram: &Matrix) -> f64 {
     .expect("weighting the eigen design set succeeds")
     .strategy;
     let factor = Cholesky::new_scalar(strategy.gram()).expect("strategy gram is SPD");
-    // Seed-era trace term: one scalar solve per column of the identity.
+    // The trace term, one scalar solve per column of the identity.
     let mut total = 0.0;
     let mut e = vec![0.0; n];
     for j in 0..n {
@@ -157,7 +149,7 @@ fn scalar_miss_path(gram: &Matrix) -> f64 {
     total
 }
 
-/// The same miss path on the blocked/threaded kernels.
+/// The same miss path on the production kernels.
 fn blocked_miss_path(gram: &Matrix) -> f64 {
     let strategy: Strategy = eigen_design(gram, &EigenDesignOptions::default())
         .expect("eigen design succeeds")
@@ -168,7 +160,7 @@ fn blocked_miss_path(gram: &Matrix) -> f64 {
         .expect("gram dimension matches")
 }
 
-fn bench_kernels(c: &mut Criterion, report: &mut SelectionBenchReport, cfg: &Config, n: usize) {
+fn bench_kernels(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
     let spd = spd_gram(n);
     let workload_gram = AllRangeWorkload::new(Domain::one_dim(n)).gram();
     let mut group = c.benchmark_group(format!("selection_kernels/n={n}"));
@@ -179,28 +171,22 @@ fn bench_kernels(c: &mut Criterion, report: &mut SelectionBenchReport, cfg: &Con
     let scalar = group.bench_function_stats("cholesky/scalar", |b| {
         b.iter(|| black_box(Cholesky::new_scalar(&spd).unwrap()))
     });
-    report.push(SelectionBenchRecord::new(
-        "cholesky",
-        n,
-        blocked.min_ns(),
-        scalar.min_ns(),
-    ));
+    report.records.push(
+        BenchRecord::new("cholesky", &[("n", n)], blocked.min_ns()).with_baseline(scalar.min_ns()),
+    );
     let fast = group.bench_function_stats("eigen/blocked", |b| {
         b.iter(|| black_box(SymmetricEigen::new(&workload_gram).unwrap()))
     });
     let scalar = group.bench_function_stats("eigen/scalar", |b| {
         b.iter(|| black_box(SymmetricEigen::new_scalar(&workload_gram).unwrap()))
     });
-    report.push(SelectionBenchRecord::new(
-        "eigen",
-        n,
-        fast.min_ns(),
-        scalar.min_ns(),
-    ));
+    report
+        .records
+        .push(BenchRecord::new("eigen", &[("n", n)], fast.min_ns()).with_baseline(scalar.min_ns()));
     group.finish();
 }
 
-fn bench_miss_path(c: &mut Criterion, report: &mut SelectionBenchReport, cfg: &Config, n: usize) {
+fn bench_miss_path(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
     let gram = AllRangeWorkload::new(Domain::one_dim(n)).gram();
     let mut group = c.benchmark_group(format!("selection_miss/n={n}"));
     group.sample_size(cfg.samples(n));
@@ -210,16 +196,14 @@ fn bench_miss_path(c: &mut Criterion, report: &mut SelectionBenchReport, cfg: &C
     let baseline = group.bench_function_stats("eigen_design/scalar", |b| {
         b.iter(|| black_box(scalar_miss_path(&gram)))
     });
-    report.push(SelectionBenchRecord::new(
-        "selection_eigen_design",
-        n,
-        optimized.min_ns(),
-        baseline.min_ns(),
-    ));
+    report.records.push(
+        BenchRecord::new("selection_eigen_design", &[("n", n)], optimized.min_ns())
+            .with_baseline(baseline.min_ns()),
+    );
     group.finish();
 }
 
-fn bench_miss_vs_hit(c: &mut Criterion, report: &mut SelectionBenchReport, cfg: &Config, n: usize) {
+fn bench_miss_vs_hit(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
     let workload = AllRangeWorkload::new(Domain::one_dim(n));
     let mut group = c.benchmark_group(format!("selection_cache/n={n}"));
     group.sample_size(cfg.samples(n));
@@ -260,12 +244,9 @@ fn bench_miss_vs_hit(c: &mut Criterion, report: &mut SelectionBenchReport, cfg: 
         let hit = group.bench_function_stats(format!("{label}/hit"), |b| {
             b.iter(|| black_box(engine.select(&workload).unwrap()))
         });
-        report.push(SelectionBenchRecord::new(
-            scenario,
-            n,
-            hit.min_ns(),
-            miss.min_ns(),
-        ));
+        report.records.push(
+            BenchRecord::new(scenario, &[("n", n)], hit.min_ns()).with_baseline(miss.min_ns()),
+        );
     }
     // The workload-rows design set needs the explicit query matrix, so it
     // runs on the n-row prefix workload instead of the O(n²)-row all-range
@@ -287,12 +268,10 @@ fn bench_miss_vs_hit(c: &mut Criterion, report: &mut SelectionBenchReport, cfg: 
     let hit = group.bench_function_stats(format!("{label}/hit"), |b| {
         b.iter(|| black_box(engine.select(&prefixes).unwrap()))
     });
-    report.push(SelectionBenchRecord::new(
-        "selection_workload_rows_hit",
-        n,
-        hit.min_ns(),
-        miss.min_ns(),
-    ));
+    report.records.push(
+        BenchRecord::new("selection_workload_rows_hit", &[("n", n)], hit.min_ns())
+            .with_baseline(miss.min_ns()),
+    );
     group.finish();
 }
 
@@ -304,7 +283,7 @@ fn bench_miss_vs_hit(c: &mut Criterion, report: &mut SelectionBenchReport, cfg: 
 /// orders-of-magnitude gap being recorded.
 fn bench_low_rank(
     c: &mut Criterion,
-    report: &mut SelectionBenchReport,
+    report: &mut BenchReport,
     cfg: &Config,
     n: usize,
     ranks: &[usize],
@@ -344,26 +323,19 @@ fn bench_low_rank(
                 black_box(engine.select(&workload).unwrap())
             })
         });
-        report.push(SelectionBenchRecord::new(
-            format!("selection_low_rank_r{r}"),
-            n,
-            stats.min_ns(),
-            dense_ns,
-        ));
+        report.records.push(
+            BenchRecord::new("selection_low_rank", &[("n", n), ("r", r)], stats.min_ns())
+                .with_baseline(dense_ns),
+        );
     }
     group.finish();
 }
 
-fn default_json_path() -> String {
-    // Anchor on the crate manifest so the artifact lands at the workspace
-    // root regardless of the invoking directory.
-    format!("{}/../../BENCH_selection.json", env!("CARGO_MANIFEST_DIR"))
-}
-
 fn main() {
-    let cfg = Config::from_env();
+    let env = BenchEnv::read();
+    let cfg = Config::new(env.quick);
     let mut criterion = Criterion::default();
-    let mut report = SelectionBenchReport::new(cfg.quick, parallel::max_threads());
+    let mut report = BenchReport::new("selection", cfg.quick);
     for &n in &cfg.ns {
         bench_kernels(&mut criterion, &mut report, &cfg, n);
         bench_miss_path(&mut criterion, &mut report, &cfg, n);
@@ -372,52 +344,5 @@ fn main() {
     for (n, ranks) in &cfg.low_rank {
         bench_low_rank(&mut criterion, &mut report, &cfg, *n, ranks);
     }
-
-    println!("\n== speedups (baseline / optimized) ==");
-    for r in &report.records {
-        println!("{:<28} n={:<5} {:>10.2}x", r.scenario, r.n, r.speedup);
-    }
-
-    let path = std::env::var("MM_BENCH_JSON").unwrap_or_else(|_| default_json_path());
-    match report.write(&path) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if std::env::var("MM_BENCH_GATE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        // Gate only the wide-margin kernel scenario: blocked-parallel
-        // Cholesky must beat the scalar reference at every measured
-        // n >= 512.  The eigen and full-path margins are wider still but
-        // depend on QL iteration counts, and the hit ratios are three
-        // orders of magnitude — all recorded above, none load-bearing for
-        // regression detection on a noisy shared runner.
-        match report.gate("cholesky", 512, 1.0) {
-            Ok(()) => println!("perf gate passed: blocked cholesky >= scalar at n >= 512"),
-            Err(failures) => {
-                eprintln!("perf gate FAILED: {failures}");
-                std::process::exit(1);
-            }
-        }
-        // The Low-Rank Mechanism's acceptance gate: a truncating rank r <= 64
-        // must make cold selection at n = 4096 strictly cheaper than the
-        // full dense pipeline it replaces (r = 256 is recorded but ungated —
-        // its margin depends on the truncated eigensolver's iteration count).
-        for r in [16u32, 64] {
-            match report.gate(&format!("selection_low_rank_r{r}"), 4096, 1.0) {
-                Ok(()) => {
-                    println!("perf gate passed: low-rank r={r} beats full dense at n >= 4096")
-                }
-                Err(failures) => {
-                    eprintln!("perf gate FAILED: {failures}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
+    env.emit(&report, selection_gates);
 }

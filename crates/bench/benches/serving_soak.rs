@@ -1,34 +1,36 @@
-//! The serving-tier soak bench behind `BENCH_serving.json` — the
-//! perf-trajectory record for `mm-serve`.
+//! The serving-tier soak bench behind `BENCH_serving.json`: the persistent
+//! strategy store and the async front-end of `mm-serve`.
 //!
-//! Two scenario families:
+//! Two scenario families, each record summarising per-request latencies
+//! ([`BenchRecord::from_latencies`]: the median as its total, the sample
+//! count as param `samples`, a tail only with ten samples beyond it), with
+//! params `n`, `clients`, `workers` and `samples`:
 //!
 //! * `cold_start` / `warm_start` — the persistent-store restart figure.
-//!   Both time a fresh engine process's *first* `select` (build the engine,
-//!   warm from the store directory, answer the first request).  `cold_start`
-//!   runs against an empty store (the selection actually runs, then spills);
-//!   `warm_start` against the store the cold run populated (the selection is
-//!   decoded and `Cholesky::from_factor`-rebuilt, never recomputed).  The
-//!   warm/cold p50 ratio at n = 1024 is the gated number: restarting with a
-//!   store must be ≥ 5x faster than recomputing.
+//!   Both time a fresh engine: building it over the store directory (which
+//!   warms its cache from whatever the store holds) and its first
+//!   `Engine::select`.  `cold_start` runs against an empty store (the
+//!   selection actually runs, then spills); `warm_start` against the store
+//!   the cold run populated (the selection is decoded and
+//!   `Cholesky::from_factor`-rebuilt, never recomputed).  They call the
+//!   engine directly, so `workers` is 0.  `warm_start`'s baseline is the
+//!   `cold_start` median at the same `n`, and the gated number is their
+//!   ratio at n = 1024: restarting with a store must be ≥ 5x faster than
+//!   recomputing.
 //!
 //! * `soak_cold` / `soak_warm` — K concurrent async clients driving a
 //!   `ServeEngine` through a Zipfian workload mix (a few hot fingerprints, a
 //!   long-ish tail), every request a hand-rolled future, all clients
 //!   multiplexed on one `join_all`.  `soak_cold` starts with an empty cache
 //!   — misses pile onto in-flight selections; `soak_warm` replays a fresh
-//!   plan against the warmed tier.  Recorded as per-request p50/p99.
+//!   plan against the warmed tier.
 //!
-//! Environment knobs (all optional):
-//!
-//! * `MM_BENCH_QUICK=1` — short CI mode: fewer iterations and requests (the
-//!   restart scenarios still reach n = 1024 — the gate needs them);
-//! * `MM_BENCH_JSON=PATH` — where to write `BENCH_serving.json` (default:
-//!   the workspace root);
-//! * `MM_BENCH_GATE=1` — exit non-zero unless the warm restart beats the
-//!   cold restart by ≥ 5x at n = 1024.
+//! `MM_BENCH_QUICK=1` is CI's short mode: fewer iterations and requests
+//! (the restart scenarios still reach n = 1024 — the gate needs them).
+//! `MM_BENCH_JSON` and `MM_BENCH_GATE` are those of every bench
+//! ([`BenchEnv`]); the gate is [`serving_gates`].
 
-use mm_bench::report::{ServingBenchRecord, ServingBenchReport};
+use mm_bench::report::{serving_gates, BenchEnv, BenchRecord, BenchReport};
 use mm_core::engine::Engine;
 use mm_core::PrivacyParams;
 use mm_serve::{block_on, join_all, AnswerFuture, ServeEngine};
@@ -46,7 +48,6 @@ use std::time::Instant;
 const SERVE_WORKERS: usize = 2;
 
 struct Config {
-    quick: bool,
     /// Domain sizes for the restart scenarios (always includes 1024: the
     /// gate is anchored there).
     start_ns: Vec<usize>,
@@ -59,12 +60,8 @@ struct Config {
 }
 
 impl Config {
-    fn from_env() -> Self {
-        let quick = std::env::var("MM_BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    fn new(quick: bool) -> Self {
         Config {
-            quick,
             start_ns: if quick { vec![1024] } else { vec![512, 1024] },
             start_iters: if quick { 2 } else { 3 },
             clients: 8,
@@ -102,10 +99,10 @@ impl Drop for ScratchDir {
     }
 }
 
-/// One fresh-process first answer: build an engine over the store directory
+/// One fresh-process start: build an engine over the store directory
 /// (warming the cache from whatever the store holds) and run the first
 /// selection.  Returns the elapsed nanoseconds.
-fn first_answer_ns(store: &ScratchDir, workload: &AllRangeWorkload) -> f64 {
+fn first_select_ns(store: &ScratchDir, workload: &AllRangeWorkload) -> f64 {
     let started = Instant::now();
     let engine = Engine::builder()
         .privacy(PrivacyParams::paper_default())
@@ -116,33 +113,26 @@ fn first_answer_ns(store: &ScratchDir, workload: &AllRangeWorkload) -> f64 {
     started.elapsed().as_nanos() as f64
 }
 
-fn bench_restart(report: &mut ServingBenchReport, cfg: &Config, n: usize) {
+fn bench_restart(report: &mut BenchReport, cfg: &Config, n: usize) {
     let workload = AllRangeWorkload::new(Domain::one_dim(n));
     let store = ScratchDir::new(&format!("restart-{n}"));
 
     let mut cold = Vec::with_capacity(cfg.start_iters);
     for _ in 0..cfg.start_iters {
         store.clear();
-        cold.push(first_answer_ns(&store, &workload));
+        cold.push(first_select_ns(&store, &workload));
     }
     // The last cold iteration left the store populated: every warm
     // iteration is a genuine restart against it.
     let mut warm = Vec::with_capacity(cfg.start_iters * 3);
     for _ in 0..cfg.start_iters * 3 {
-        warm.push(first_answer_ns(&store, &workload));
+        warm.push(first_select_ns(&store, &workload));
     }
-    report.push(ServingBenchRecord::from_latencies(
-        "cold_start",
-        n,
-        1,
-        &cold,
-    ));
-    report.push(ServingBenchRecord::from_latencies(
-        "warm_start",
-        n,
-        1,
-        &warm,
-    ));
+    let params = [("n", n), ("clients", 1), ("workers", 0)];
+    let cold = BenchRecord::from_latencies("cold_start", &params, &cold);
+    let warm =
+        BenchRecord::from_latencies("warm_start", &params, &warm).with_baseline(cold.total_ns);
+    report.records.extend([cold, warm]);
 }
 
 /// A soak client: answers its request plan sequentially, recording the
@@ -231,7 +221,7 @@ fn run_soak(
     block_on(join_all(clients)).into_iter().flatten().collect()
 }
 
-fn bench_soak(report: &mut ServingBenchReport, cfg: &Config) {
+fn bench_soak(report: &mut BenchReport, cfg: &Config) {
     // Distinct domain sizes => distinct fingerprints; small enough that the
     // soak measures serving overhead and contention, not eigensolves.
     let workloads: Vec<Arc<AllRangeWorkload>> = (0..8)
@@ -246,20 +236,19 @@ fn bench_soak(report: &mut ServingBenchReport, cfg: &Config) {
     );
     let serve = ServeEngine::builder(engine).workers(SERVE_WORKERS).build();
 
+    let params = [
+        ("n", n),
+        ("clients", cfg.clients),
+        ("workers", SERVE_WORKERS),
+    ];
     let cold = run_soak(&serve, &workloads, cfg, 1);
-    report.push(ServingBenchRecord::from_latencies(
-        "soak_cold",
-        n,
-        cfg.clients,
-        &cold,
-    ));
+    report
+        .records
+        .push(BenchRecord::from_latencies("soak_cold", &params, &cold));
     let warm = run_soak(&serve, &workloads, cfg, 2);
-    report.push(ServingBenchRecord::from_latencies(
-        "soak_warm",
-        n,
-        cfg.clients,
-        &warm,
-    ));
+    report
+        .records
+        .push(BenchRecord::from_latencies("soak_warm", &params, &warm));
     let stats = serve.stats();
     println!(
         "soak: {} submitted, {} completed, {} selection jobs ({} distinct workloads)",
@@ -275,52 +264,13 @@ fn bench_soak(report: &mut ServingBenchReport, cfg: &Config) {
     );
 }
 
-fn default_json_path() -> String {
-    // Anchor on the crate manifest so the artifact lands at the workspace
-    // root regardless of the invoking directory.
-    format!("{}/../../BENCH_serving.json", env!("CARGO_MANIFEST_DIR"))
-}
-
 fn main() {
-    let cfg = Config::from_env();
-    let mut report = ServingBenchReport::new(cfg.quick, SERVE_WORKERS);
-
+    let env = BenchEnv::read();
+    let cfg = Config::new(env.quick);
+    let mut report = BenchReport::new("serving", env.quick);
     for &n in &cfg.start_ns {
         bench_restart(&mut report, &cfg, n);
     }
     bench_soak(&mut report, &cfg);
-
-    println!("\n== serving latencies ==");
-    for r in &report.records {
-        println!(
-            "{:<12} n={:<5} clients={:<3} requests={:<5} p50={:>12.0}ns p99={:>12.0}ns",
-            r.scenario, r.n, r.clients, r.requests, r.p50_ns, r.p99_ns
-        );
-    }
-
-    let path = std::env::var("MM_BENCH_JSON").unwrap_or_else(|_| default_json_path());
-    match report.write(&path) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if std::env::var("MM_BENCH_GATE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        // The store exists to make restarts cheap: decoding a persisted
-        // selection must be far cheaper than recomputing it.  The margin is
-        // enormous (the cold path is an O(n³) eigensolve), so 5x is a
-        // conservative floor even on a noisy shared runner.
-        match report.gate_warm_restart(1024, 5.0) {
-            Ok(()) => println!("perf gate passed: warm restart >= 5x cold at n >= 1024"),
-            Err(failures) => {
-                eprintln!("perf gate FAILED: {failures}");
-                std::process::exit(1);
-            }
-        }
-    }
+    env.emit(&report, serving_gates);
 }

@@ -1,6 +1,8 @@
 //! Table formatting, JSON output and command-line configuration shared by the
-//! reproduction binaries.
+//! reproduction binaries, and the one report (`mm-bench/v2`) that the four
+//! benches write and CI gates.
 
+use mm_linalg::parallel;
 use std::fmt::Write as _;
 
 /// Command-line configuration for a reproduction binary.
@@ -90,6 +92,25 @@ impl RunConfig {
     }
 }
 
+/// Escapes `s` for use inside a JSON string literal.
+fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// A printable experiment table (one per figure/table of the paper).
 #[derive(Debug, Clone)]
 pub struct ExperimentTable {
@@ -146,23 +167,6 @@ impl ExperimentTable {
     /// Renders the table as pretty-printed JSON (hand-rolled: the offline
     /// build has no serde).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         fn string_array(items: &[String], indent: &str) -> String {
             let inner: Vec<String> = items.iter().map(|s| format!("\"{}\"", esc(s))).collect();
             format!("{indent}[{}]", inner.join(", "))
@@ -194,559 +198,125 @@ impl ExperimentTable {
     }
 }
 
-/// One measured batch-answering scenario: the vectorised (batched) path
-/// against the per-vector baseline at a given domain size `n` and batch
-/// width `k`.
+/// Schema identifier written into every bench report.
+const BENCH_FORMAT: &str = "mm-bench/v2";
+
+/// Tail quantiles a latency summary may report, highest first, in per mille.
+const TAILS: [(&str, usize); 3] = [("p99.9", 999), ("p99", 990), ("p90", 900)];
+
+/// One measured scenario of a bench report.
 ///
-/// Both timings are whole-batch figures — `baseline_ns_per_op` is the total
-/// time of `k` per-vector calls, so `speedup = baseline / batched` is the
-/// end-to-end win of vectorising, and `>= 1.0` means batching does not lose.
+/// `total_ns` times the measured path and `baseline_ns`, where the scenario
+/// has one, the path it is compared with.  Their ratio `baseline / total` is
+/// what the printed summary shows and [`BenchReport::gate`] checks; it is
+/// not stored.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchBenchRecord {
-    /// Scenario name (`matmul`, `solve_multi`, `engine_answer_batch`, …).
+pub struct BenchRecord {
+    /// Scenario name (`matmul`, `cholesky`, `warm_start`, `structured`, …).
     pub scenario: String,
-    /// Domain size (cells / matrix dimension).
-    pub n: usize,
-    /// Batch width (number of right-hand sides / data vectors).
-    pub k: usize,
-    /// Nanoseconds for one whole-batch operation on the vectorised path
-    /// (fastest sample).
-    pub batched_ns_per_op: f64,
-    /// Nanoseconds for the per-vector baseline answering the same batch
-    /// (fastest sample, total over the `k` calls).
-    pub baseline_ns_per_op: f64,
-    /// `baseline_ns_per_op / batched_ns_per_op`.
-    pub speedup: f64,
+    /// Integer parameters (`n`, `k`, `r`, …), in insertion order.
+    pub params: Vec<(String, usize)>,
+    /// Nanoseconds of the measured path; non-finite is written as `null`.
+    pub total_ns: f64,
+    /// Nanoseconds of the baseline; `None` when the scenario has none.
+    pub baseline_ns: Option<f64>,
+    /// Named parts or summaries of the measurement, in insertion order.
+    pub detail_ns: Vec<(String, f64)>,
 }
 
-impl BatchBenchRecord {
-    /// Builds a record, deriving the speedup from the two timings.
-    pub fn new(
-        scenario: impl Into<String>,
-        n: usize,
-        k: usize,
-        batched_ns_per_op: f64,
-        baseline_ns_per_op: f64,
-    ) -> Self {
-        let speedup = if batched_ns_per_op > 0.0 {
-            baseline_ns_per_op / batched_ns_per_op
-        } else {
-            f64::INFINITY
-        };
-        BatchBenchRecord {
+impl BenchRecord {
+    /// A record with no baseline and no details.
+    pub fn new(scenario: impl Into<String>, params: &[(&str, usize)], total_ns: f64) -> Self {
+        BenchRecord {
             scenario: scenario.into(),
-            n,
-            k,
-            batched_ns_per_op,
-            baseline_ns_per_op,
-            speedup,
-        }
-    }
-}
-
-/// The machine-readable perf-trajectory report emitted as
-/// `BENCH_batch.json` — the repo's recorded performance format (schema
-/// documented in the README's Performance section).
-#[derive(Debug, Clone, Default)]
-pub struct BatchBenchReport {
-    /// Whether the run used the short fixed-iteration CI mode.
-    pub quick: bool,
-    /// All measured scenarios.
-    pub records: Vec<BatchBenchRecord>,
-}
-
-/// Schema identifier written into every `BENCH_batch.json`.
-pub const BATCH_BENCH_FORMAT: &str = "mm-bench/batch-v1";
-
-impl BatchBenchReport {
-    /// An empty report.
-    pub fn new(quick: bool) -> Self {
-        BatchBenchReport {
-            quick,
-            records: Vec::new(),
+            params: params.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            total_ns,
+            baseline_ns: None,
+            detail_ns: Vec::new(),
         }
     }
 
-    /// Appends a record.
-    pub fn push(&mut self, record: BatchBenchRecord) {
-        self.records.push(record);
-    }
-
-    /// Renders the report as pretty-printed JSON (hand-rolled: the offline
-    /// build has no serde).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.1}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"format\": \"{BATCH_BENCH_FORMAT}\",");
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        out.push_str("  \"scenarios\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            let sep = if i + 1 < self.records.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"scenario\": \"{}\", \"n\": {}, \"k\": {}, \
-                 \"batched_ns_per_op\": {}, \"baseline_ns_per_op\": {}, \
-                 \"speedup\": {}}}{sep}",
-                r.scenario,
-                r.n,
-                r.k,
-                num(r.batched_ns_per_op),
-                num(r.baseline_ns_per_op),
-                num(r.speedup),
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the report to `path`.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// The coarse CI regression gate: every scenario with `k >= min_k` must
-    /// show `speedup >= min_speedup` (batching must not lose once the batch
-    /// is wide enough to amortise its setup).  Returns the offending records'
-    /// descriptions on failure.
-    pub fn gate(&self, min_k: usize, min_speedup: f64) -> Result<(), String> {
-        let failures: Vec<String> = self
-            .records
-            .iter()
-            .filter(|r| r.k >= min_k && (r.speedup < min_speedup || r.speedup.is_nan()))
-            .map(|r| {
-                format!(
-                    "{} n={} k={}: speedup {:.2}x < {:.2}x",
-                    r.scenario, r.n, r.k, r.speedup, min_speedup
-                )
-            })
-            .collect();
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("; "))
-        }
-    }
-}
-
-/// One measured selection-path scenario: the blocked-parallel (optimized)
-/// implementation against its reference baseline at domain size `n`.
-///
-/// What "optimized" and "baseline" mean is scenario-specific (documented in
-/// the README's Performance section): for the kernel scenarios (`cholesky`,
-/// `eigen`) the baseline is the scalar reference kernel; for
-/// `selection_eigen_design` it is the full cold miss path rebuilt on the
-/// scalar kernels; for the `*_hit` scenarios it is the cold miss itself, so
-/// the speedup is the cache win.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectionBenchRecord {
-    /// Scenario name (`cholesky`, `eigen`, `selection_eigen_design`, …).
-    pub scenario: String,
-    /// Domain size (cells / matrix dimension).
-    pub n: usize,
-    /// Nanoseconds per operation on the optimized path (fastest sample).
-    pub optimized_ns_per_op: f64,
-    /// Nanoseconds per operation on the baseline (fastest sample).
-    pub baseline_ns_per_op: f64,
-    /// `baseline_ns_per_op / optimized_ns_per_op`.
-    pub speedup: f64,
-}
-
-impl SelectionBenchRecord {
-    /// Builds a record, deriving the speedup from the two timings.
-    pub fn new(
-        scenario: impl Into<String>,
-        n: usize,
-        optimized_ns_per_op: f64,
-        baseline_ns_per_op: f64,
-    ) -> Self {
-        let speedup = if optimized_ns_per_op > 0.0 {
-            baseline_ns_per_op / optimized_ns_per_op
-        } else {
-            f64::INFINITY
-        };
-        SelectionBenchRecord {
-            scenario: scenario.into(),
-            n,
-            optimized_ns_per_op,
-            baseline_ns_per_op,
-            speedup,
-        }
-    }
-}
-
-/// Schema identifier written into every `BENCH_selection.json`.
-pub const SELECTION_BENCH_FORMAT: &str = "mm-bench/selection-v1";
-
-/// The machine-readable selection-latency report emitted as
-/// `BENCH_selection.json` — the perf-trajectory record for the engine's
-/// expensive (cache-miss) path, companion to [`BatchBenchReport`].
-#[derive(Debug, Clone, Default)]
-pub struct SelectionBenchReport {
-    /// Whether the run used the short fixed-iteration CI mode.
-    pub quick: bool,
-    /// Worker-thread budget the kernels ran with
-    /// (`mm_linalg::parallel::max_threads()` at bench time).
-    pub threads: usize,
-    /// All measured scenarios.
-    pub records: Vec<SelectionBenchRecord>,
-}
-
-impl SelectionBenchReport {
-    /// An empty report.
-    pub fn new(quick: bool, threads: usize) -> Self {
-        SelectionBenchReport {
-            quick,
-            threads,
-            records: Vec::new(),
-        }
-    }
-
-    /// Appends a record.
-    pub fn push(&mut self, record: SelectionBenchRecord) {
-        self.records.push(record);
-    }
-
-    /// Renders the report as pretty-printed JSON (hand-rolled: the offline
-    /// build has no serde).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.1}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"format\": \"{SELECTION_BENCH_FORMAT}\",");
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        out.push_str("  \"scenarios\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            let sep = if i + 1 < self.records.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"scenario\": \"{}\", \"n\": {}, \
-                 \"optimized_ns_per_op\": {}, \"baseline_ns_per_op\": {}, \
-                 \"speedup\": {}}}{sep}",
-                r.scenario,
-                r.n,
-                num(r.optimized_ns_per_op),
-                num(r.baseline_ns_per_op),
-                num(r.speedup),
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the report to `path`.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// The coarse CI regression gate: every record of `scenario` with
-    /// `n >= min_n` must show `speedup >= min_speedup`.  Returns the
-    /// offending records' descriptions on failure, or an error when the
-    /// report holds no matching record at all (an empty gate must not pass).
-    pub fn gate(&self, scenario: &str, min_n: usize, min_speedup: f64) -> Result<(), String> {
-        let mut matched = 0usize;
-        let failures: Vec<String> = self
-            .records
-            .iter()
-            .filter(|r| r.scenario == scenario && r.n >= min_n)
-            .inspect(|_| matched += 1)
-            .filter(|r| r.speedup < min_speedup || r.speedup.is_nan())
-            .map(|r| {
-                format!(
-                    "{} n={}: speedup {:.2}x < {:.2}x",
-                    r.scenario, r.n, r.speedup, min_speedup
-                )
-            })
-            .collect();
-        if matched == 0 {
-            return Err(format!(
-                "no records for scenario `{scenario}` with n >= {min_n}"
-            ));
-        }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("; "))
-        }
-    }
-}
-
-/// One measured serving scenario: latency quantiles over `requests` answered
-/// requests at domain size `n` with `clients` concurrent clients.
-///
-/// Scenario names: `cold_start` / `warm_start` (first answer of a fresh
-/// engine process without / with a populated strategy store — the restart
-/// figure the store exists for) and `soak_cold` / `soak_warm` (the async
-/// client mix against a cold / pre-warmed serving tier).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingBenchRecord {
-    /// Scenario name (`cold_start`, `warm_start`, `soak_cold`, `soak_warm`).
-    pub scenario: String,
-    /// Domain size (cells).
-    pub n: usize,
-    /// Concurrent clients driving the scenario (1 for the start scenarios).
-    pub clients: usize,
-    /// Requests answered over the whole scenario.
-    pub requests: usize,
-    /// Median per-request latency in nanoseconds.
-    pub p50_ns: f64,
-    /// 99th-percentile per-request latency in nanoseconds.
-    pub p99_ns: f64,
-}
-
-impl ServingBenchRecord {
-    /// Builds a record from a sorted-or-not slice of per-request latencies.
+    /// Summarises per-request latencies.  The median is the total, the
+    /// sample count follows `params` as `samples`, and `detail_ns` holds the
+    /// highest of `p90`, `p99` and `p99.9` that has at least ten samples
+    /// beyond it, so below 100 samples the median stands alone.
     pub fn from_latencies(
         scenario: impl Into<String>,
-        n: usize,
-        clients: usize,
+        params: &[(&str, usize)],
         latencies_ns: &[f64],
     ) -> Self {
-        let mut sorted: Vec<f64> = latencies_ns.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let q = |p: f64| -> f64 {
-            if sorted.is_empty() {
-                return f64::NAN;
-            }
-            let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-            sorted[idx]
-        };
-        ServingBenchRecord {
-            scenario: scenario.into(),
-            n,
-            clients,
-            requests: sorted.len(),
-            p50_ns: q(0.5),
-            p99_ns: q(0.99),
+        let mut sorted = latencies_ns.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let len = sorted.len();
+        let median = sorted.get(len / 2).copied().unwrap_or(f64::NAN);
+        let mut record = BenchRecord::new(scenario, params, median);
+        record.params.push(("samples".to_string(), len));
+        let beyond = |per_mille: usize| len * (1000 - per_mille) / 1000;
+        if let Some(&(name, per_mille)) = TAILS.iter().find(|&&(_, pm)| beyond(pm) >= 10) {
+            let tail = sorted[len - 1 - beyond(per_mille)];
+            record.detail_ns.push((name.to_string(), tail));
         }
-    }
-}
-
-/// Schema identifier written into every `BENCH_serving.json`.
-pub const SERVING_BENCH_FORMAT: &str = "mm-bench/serving-v1";
-
-/// The machine-readable serving-tier report emitted as `BENCH_serving.json`
-/// — the perf-trajectory record for `mm-serve` (async front-end + persistent
-/// strategy store), companion to [`SelectionBenchReport`].
-#[derive(Debug, Clone, Default)]
-pub struct ServingBenchReport {
-    /// Whether the run used the short fixed-iteration CI mode.
-    pub quick: bool,
-    /// Serving workers the tier ran with.
-    pub workers: usize,
-    /// All measured scenarios.
-    pub records: Vec<ServingBenchRecord>,
-}
-
-impl ServingBenchReport {
-    /// An empty report.
-    pub fn new(quick: bool, workers: usize) -> Self {
-        ServingBenchReport {
-            quick,
-            workers,
-            records: Vec::new(),
-        }
+        record
     }
 
-    /// Appends a record.
-    pub fn push(&mut self, record: ServingBenchRecord) {
-        self.records.push(record);
+    /// Sets the baseline the gate compares the total with.
+    pub fn with_baseline(mut self, baseline_ns: f64) -> Self {
+        self.baseline_ns = Some(baseline_ns);
+        self
     }
 
-    /// Renders the report as pretty-printed JSON (hand-rolled: the offline
-    /// build has no serde).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.1}")
-            } else {
-                "null".to_string()
-            }
+    /// Appends one named detail.
+    pub fn with_detail(mut self, name: &str, ns: f64) -> Self {
+        self.detail_ns.push((name.to_string(), ns));
+        self
+    }
+
+    /// The value of parameter `name`, if the record has it.
+    pub fn param(&self, name: &str) -> Option<usize> {
+        self.params.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+    }
+
+    /// `baseline_ns / total_ns`, if the record has a baseline.
+    pub fn speedup(&self) -> Option<f64> {
+        self.baseline_ns.map(|b| b / self.total_ns)
+    }
+
+    /// The scenario and its parameters, as the summary and gate print them.
+    fn label(&self) -> String {
+        let mut out = self.scenario.clone();
+        for (k, v) in &self.params {
+            let _ = write!(out, " {k}={v}");
         }
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"format\": \"{SERVING_BENCH_FORMAT}\",");
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(out, "  \"workers\": {},", self.workers);
-        out.push_str("  \"scenarios\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            let sep = if i + 1 < self.records.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"scenario\": \"{}\", \"n\": {}, \"clients\": {}, \
-                 \"requests\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}{sep}",
-                r.scenario,
-                r.n,
-                r.clients,
-                r.requests,
-                num(r.p50_ns),
-                num(r.p99_ns),
-            );
-        }
-        out.push_str("  ]\n}\n");
         out
     }
-
-    /// Writes the report to `path`.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// The CI regression gate for the persistent store: at every domain size
-    /// `n >= min_n` where both are recorded, `warm_start` p50 must beat
-    /// `cold_start` p50 by at least `min_speedup`.  Errors when no such pair
-    /// exists (an empty gate must not pass).
-    pub fn gate_warm_restart(&self, min_n: usize, min_speedup: f64) -> Result<(), String> {
-        let p50 = |scenario: &str, n: usize| -> Option<f64> {
-            self.records
-                .iter()
-                .find(|r| r.scenario == scenario && r.n == n)
-                .map(|r| r.p50_ns)
-        };
-        let mut matched = 0usize;
-        let mut failures = Vec::new();
-        for r in &self.records {
-            if r.scenario != "cold_start" || r.n < min_n {
-                continue;
-            }
-            let Some(warm) = p50("warm_start", r.n) else {
-                continue;
-            };
-            matched += 1;
-            let speedup = if warm > 0.0 {
-                r.p50_ns / warm
-            } else {
-                f64::INFINITY
-            };
-            if speedup < min_speedup || speedup.is_nan() {
-                failures.push(format!(
-                    "warm restart n={}: speedup {:.2}x < {:.2}x (cold p50 {:.0}ns, warm p50 {:.0}ns)",
-                    r.n, speedup, min_speedup, r.p50_ns, warm
-                ));
-            }
-        }
-        if matched == 0 {
-            return Err(format!("no cold_start/warm_start pair with n >= {min_n}"));
-        }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("; "))
-        }
-    }
 }
 
-/// One measured large-domain answering scenario: the matrix-free structured
-/// path (`structured`) or the materialised-operator baseline (`dense`) at
-/// domain size `n`, answering `queries` range queries end to end.
-///
-/// `select_ns` is the strategy-side setup cost — structured selection for
-/// the structured path, operator densification for the dense baseline —
-/// and `answer_ns` the full noisy answer (observe, reconstruct, evaluate:
-/// the structured path inverts its strategy exactly, the dense baseline
-/// runs CG over the materialised operator).  Above the dense
-/// materialisation cap the baseline cannot run at all; such sizes are
-/// recorded with `skipped = true` and no timings, so the artifact shows
-/// *why* the comparison stops rather than silently omitting the row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LargeDomainRecord {
-    /// Scenario name (`structured` or `dense`).
-    pub scenario: String,
-    /// Domain size (cells).
-    pub n: usize,
-    /// Range queries answered.
-    pub queries: usize,
-    /// True when the scenario could not run at this size (dense above the
-    /// materialisation cap); timings are NaN and serialise as null.
-    pub skipped: bool,
-    /// Nanoseconds for strategy selection / densification (fastest sample).
-    pub select_ns: f64,
-    /// Nanoseconds for one end-to-end noisy answer (fastest sample).
-    pub answer_ns: f64,
-}
-
-impl LargeDomainRecord {
-    /// A measured record.
-    pub fn measured(
-        scenario: impl Into<String>,
-        n: usize,
-        queries: usize,
-        select_ns: f64,
-        answer_ns: f64,
-    ) -> Self {
-        LargeDomainRecord {
-            scenario: scenario.into(),
-            n,
-            queries,
-            skipped: false,
-            select_ns,
-            answer_ns,
-        }
-    }
-
-    /// A skipped record (scenario infeasible at this size).
-    pub fn skipped(scenario: impl Into<String>, n: usize, queries: usize) -> Self {
-        LargeDomainRecord {
-            scenario: scenario.into(),
-            n,
-            queries,
-            skipped: true,
-            select_ns: f64::NAN,
-            answer_ns: f64::NAN,
-        }
-    }
-
-    /// Selection plus answering — the end-to-end figure the gate compares.
-    pub fn total_ns(&self) -> f64 {
-        self.select_ns + self.answer_ns
-    }
-}
-
-/// Schema identifier written into every `BENCH_large_domain.json`.
-pub const LARGE_DOMAIN_BENCH_FORMAT: &str = "mm-bench/large-domain-v1";
-
-/// The machine-readable large-domain report emitted as
-/// `BENCH_large_domain.json` — the perf-trajectory record for the
-/// matrix-free structured answering path, companion to
-/// [`SelectionBenchReport`].
-#[derive(Debug, Clone, Default)]
-pub struct LargeDomainReport {
-    /// Whether the run used the short fixed-iteration CI mode.
+/// One bench run's report, written as `BENCH_<bench>.json`.
+#[derive(Debug, Clone)]
+pub struct BenchReport {
+    /// Bench name: `batch`, `selection`, `serving` or `large_domain`.
+    pub bench: String,
+    /// Whether the run used CI's short fixed-iteration mode.
     pub quick: bool,
-    /// Worker-thread budget the kernels ran with
-    /// (`mm_linalg::parallel::max_threads()` at bench time).
+    /// Kernel thread budget at bench time (`parallel::max_threads()`).
     pub threads: usize,
-    /// All measured scenarios.
-    pub records: Vec<LargeDomainRecord>,
+    /// Measured scenarios, in run order.
+    pub records: Vec<BenchRecord>,
 }
 
-impl LargeDomainReport {
-    /// An empty report.
-    pub fn new(quick: bool, threads: usize) -> Self {
-        LargeDomainReport {
+impl BenchReport {
+    /// An empty report that records the current kernel thread budget.
+    pub fn new(bench: &str, quick: bool) -> Self {
+        BenchReport {
+            bench: bench.to_string(),
             quick,
-            threads,
+            threads: parallel::max_threads(),
             records: Vec::new(),
         }
     }
 
-    /// Appends a record.
-    pub fn push(&mut self, record: LargeDomainRecord) {
-        self.records.push(record);
-    }
-
-    /// Renders the report as pretty-printed JSON (hand-rolled: the offline
-    /// build has no serde).
+    /// Renders the report as pretty-printed JSON, one record per line
+    /// (hand-rolled: the offline build has no serde).
     pub fn to_json(&self) -> String {
         fn num(v: f64) -> String {
             if v.is_finite() {
@@ -755,91 +325,195 @@ impl LargeDomainReport {
                 "null".to_string()
             }
         }
+        fn object<T>(pairs: &[(String, T)], value: impl Fn(&T) -> String) -> String {
+            let inner: Vec<String> = pairs
+                .iter()
+                .map(|(k, v)| format!("\"{}\": {}", esc(k), value(v)))
+                .collect();
+            format!("{{{}}}", inner.join(", "))
+        }
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"format\": \"{LARGE_DOMAIN_BENCH_FORMAT}\",");
+        let _ = writeln!(out, "  \"format\": \"{BENCH_FORMAT}\",");
+        let _ = writeln!(out, "  \"bench\": \"{}\",", esc(&self.bench));
         let _ = writeln!(out, "  \"quick\": {},", self.quick);
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        out.push_str("  \"scenarios\": [\n");
+        out.push_str("  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
             let sep = if i + 1 < self.records.len() { "," } else { "" };
             let _ = writeln!(
                 out,
-                "    {{\"scenario\": \"{}\", \"n\": {}, \"queries\": {}, \
-                 \"skipped\": {}, \"select_ns\": {}, \"answer_ns\": {}, \
-                 \"total_ns\": {}}}{sep}",
-                r.scenario,
-                r.n,
-                r.queries,
-                r.skipped,
-                num(r.select_ns),
-                num(r.answer_ns),
-                num(r.total_ns()),
+                "    {{\"scenario\": \"{}\", \"params\": {}, \"total_ns\": {}, \
+                 \"baseline_ns\": {}, \"detail_ns\": {}}}{sep}",
+                esc(&r.scenario),
+                object(&r.params, |v| v.to_string()),
+                num(r.total_ns),
+                num(r.baseline_ns.unwrap_or(f64::NAN)),
+                object(&r.detail_ns, |&v| num(v)),
             );
         }
         out.push_str("  ]\n}\n");
         out
     }
 
-    /// Writes the report to `path`.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// The CI regression gate for the matrix-free path.  Two clauses:
-    ///
-    /// 1. the structured path must *complete* `must_complete_n` (the
-    ///    headline large domain) — a missing or skipped record fails;
-    /// 2. at every n >= `min_n` where the dense baseline also ran,
-    ///    structured end-to-end must not lose to dense; at least one such
-    ///    pair must exist (an empty gate must not pass).
-    pub fn gate(&self, min_n: usize, must_complete_n: usize) -> Result<(), String> {
-        let find = |scenario: &str, n: usize| {
-            self.records
-                .iter()
-                .find(|r| r.scenario == scenario && r.n == n)
-        };
+    /// The one CI gate: every `scenario` record that `which` selects and that
+    /// has a baseline must reach `baseline_ns / total_ns >= min_speedup`.  A
+    /// NaN ratio fails, and so does a call that compares no record.  Returns
+    /// what was compared, or the failures.
+    pub fn gate(
+        &self,
+        scenario: &str,
+        which: impl Fn(&BenchRecord) -> bool,
+        min_speedup: f64,
+    ) -> Result<String, String> {
+        let mut compared = 0usize;
+        let mut lowest = f64::INFINITY;
         let mut failures = Vec::new();
-        match find("structured", must_complete_n) {
-            Some(r) if !r.skipped && r.total_ns().is_finite() => {}
-            _ => failures.push(format!(
-                "structured n={must_complete_n} missing, skipped, or unmeasured"
-            )),
-        }
-        let mut pairs = 0usize;
-        for r in &self.records {
-            if r.scenario != "dense" || r.n < min_n || r.skipped {
-                continue;
-            }
-            let Some(s) = find("structured", r.n) else {
+        for r in self
+            .records
+            .iter()
+            .filter(|r| r.scenario == scenario && which(r))
+        {
+            let Some(speedup) = r.speedup() else {
                 continue;
             };
-            if s.skipped {
-                continue;
-            }
-            pairs += 1;
-            let speedup = if s.total_ns() > 0.0 {
-                r.total_ns() / s.total_ns()
-            } else {
-                f64::INFINITY
-            };
-            // A NaN speedup (corrupt timing) must fail the gate, not pass it.
-            if speedup.is_nan() || speedup < 1.0 {
-                failures.push(format!(
-                    "n={}: structured {:.0}ns loses to dense {:.0}ns ({:.2}x)",
-                    r.n,
-                    s.total_ns(),
-                    r.total_ns(),
-                    speedup
-                ));
+            compared += 1;
+            lowest = lowest.min(speedup);
+            if speedup.is_nan() || speedup < min_speedup {
+                failures.push(format!("{}: {speedup:.2}x < {min_speedup:.2}x", r.label()));
             }
         }
-        if pairs == 0 {
-            failures.push(format!("no structured/dense pair with n >= {min_n}"));
-        }
-        if failures.is_empty() {
-            Ok(())
+        if compared == 0 {
+            Err(format!("no `{scenario}` record with a baseline matches"))
+        } else if failures.is_empty() {
+            Ok(format!(
+                "{scenario}: {compared} compared, lowest {lowest:.2}x >= {min_speedup:.2}x"
+            ))
         } else {
             Err(failures.join("; "))
+        }
+    }
+}
+
+fn n_at_least(min: usize) -> impl Fn(&BenchRecord) -> bool {
+    move |r| r.param("n").is_some_and(|n| n >= min)
+}
+
+/// `batch_answering`: at K ≥ 8 the batched solve and the batched engine
+/// answer must not lose to the per-vector loop.  `matmul`'s K ≥ 8 margin is
+/// about 1.5x, thin enough for a noisy shared runner to trip, so it is
+/// recorded but not gated.
+pub fn batch_gates(report: &BenchReport) -> Vec<Result<String, String>> {
+    let wide = |r: &BenchRecord| r.param("k").is_some_and(|k| k >= 8);
+    vec![
+        report.gate("solve_multi", wide, 1.0),
+        report.gate("engine_answer_batch", wide, 1.0),
+    ]
+}
+
+/// `selection_latency`: the blocked Cholesky must beat the scalar reference
+/// at n ≥ 512, and the Low-Rank Mechanism's cold miss must beat the full
+/// dense miss at n ≥ 4096, checked on its own at r = 16 and at r = 64.  The
+/// eigen, full-path and hit ratios, and r = 256, whose margin depends on the
+/// truncated eigensolver's iteration count, are recorded but not gated.
+pub fn selection_gates(report: &BenchReport) -> Vec<Result<String, String>> {
+    let low_rank = |rank| move |r: &BenchRecord| n_at_least(4096)(r) && r.param("r") == Some(rank);
+    vec![
+        report.gate("cholesky", n_at_least(512), 1.0),
+        report.gate("selection_low_rank", low_rank(16), 1.0),
+        report.gate("selection_low_rank", low_rank(64), 1.0),
+    ]
+}
+
+/// `serving_soak`: a restart that decodes the stored selection must be at
+/// least 5x faster than one that recomputes it, at n ≥ 1024.
+pub fn serving_gates(report: &BenchReport) -> Vec<Result<String, String>> {
+    vec![report.gate("warm_start", n_at_least(1024), 5.0)]
+}
+
+/// `large_domain`: the matrix-free path must not lose to the materialised
+/// baseline at n ≥ 4096, and it must complete n = 65 536, where the
+/// baseline cannot run.
+pub fn large_domain_gates(report: &BenchReport) -> Vec<Result<String, String>> {
+    let completed = report.records.iter().any(|r| {
+        r.scenario == "structured" && r.param("n") == Some(65536) && r.total_ns.is_finite()
+    });
+    vec![
+        report.gate("structured", n_at_least(4096), 1.0),
+        if completed {
+            Ok("structured completed n=65536".to_string())
+        } else {
+            Err("structured n=65536 missing or unmeasured".to_string())
+        },
+    ]
+}
+
+/// The three environment settings every bench reads, read in one place.
+#[derive(Debug)]
+pub struct BenchEnv {
+    /// `MM_BENCH_QUICK=1`: CI's short fixed-iteration mode.
+    pub quick: bool,
+    /// `MM_BENCH_JSON`: where the report goes; by default
+    /// `BENCH_<bench>.json` at the workspace root.
+    json_path: Option<String>,
+    /// `MM_BENCH_GATE=1`: check the bench's gate clauses.
+    gate: bool,
+}
+
+impl BenchEnv {
+    /// Reads `MM_BENCH_QUICK`, `MM_BENCH_JSON` and `MM_BENCH_GATE`.
+    pub fn read() -> Self {
+        let on = |name| std::env::var(name).is_ok_and(|v| v == "1");
+        BenchEnv {
+            quick: on("MM_BENCH_QUICK"),
+            json_path: std::env::var("MM_BENCH_JSON").ok(),
+            gate: on("MM_BENCH_GATE"),
+        }
+    }
+
+    /// Prints the summary, writes the report and, under `MM_BENCH_GATE=1`,
+    /// checks the bench's gate clauses (`batch_gates`, …).  Exits 1 if the
+    /// write or a clause fails.
+    pub fn emit(
+        &self,
+        report: &BenchReport,
+        gates: fn(&BenchReport) -> Vec<Result<String, String>>,
+    ) {
+        println!("\n== {}: total and baseline / total ==", report.bench);
+        for r in &report.records {
+            let speedup = r
+                .speedup()
+                .map_or(String::new(), |s| format!("  {s:>12.2}x"));
+            println!("{:<48} {:>16.0} ns{speedup}", r.label(), r.total_ns);
+        }
+        let path = self.json_path.clone().unwrap_or_else(|| {
+            // Anchored on the crate manifest, so the report lands at the
+            // workspace root whatever the invoking directory.
+            format!(
+                "{}/../../BENCH_{}.json",
+                env!("CARGO_MANIFEST_DIR"),
+                report.bench
+            )
+        });
+        if let Err(e) = std::fs::write(&path, report.to_json()) {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
+        }
+        println!("\nwrote {path}");
+        if !self.gate {
+            return;
+        }
+        let mut failed = false;
+        for clause in gates(report) {
+            match clause {
+                Ok(passed) => println!("perf gate passed: {passed}"),
+                Err(failures) => {
+                    eprintln!("perf gate FAILED: {failures}");
+                    failed = true;
+                }
+            }
+        }
+        if failed {
+            std::process::exit(1);
         }
     }
 }
@@ -917,274 +591,261 @@ mod tests {
         t.push_row(vec!["1".into()]);
     }
 
+    fn record(scenario: &str, params: &[(&str, usize)], total: f64, baseline: f64) -> BenchRecord {
+        BenchRecord::new(scenario, params, total).with_baseline(baseline)
+    }
+
+    /// Runs one bench's gate clauses over `records`; the failures, joined.
+    fn check(
+        gates: fn(&BenchReport) -> Vec<Result<String, String>>,
+        records: Vec<BenchRecord>,
+    ) -> Result<(), String> {
+        let report = BenchReport {
+            bench: "test".into(),
+            quick: true,
+            threads: 1,
+            records,
+        };
+        let failures: Vec<String> = gates(&report).into_iter().filter_map(Result::err).collect();
+        if failures.is_empty() {
+            Ok(())
+        } else {
+            Err(failures.join("; "))
+        }
+    }
+
     #[test]
-    fn batch_report_json_schema() {
-        let mut report = BatchBenchReport::new(true);
-        report.push(BatchBenchRecord::new("matmul", 256, 8, 1000.0, 4000.0));
-        report.push(BatchBenchRecord::new(
+    fn report_json_schema() {
+        let mut report = BenchReport::new("batch", true);
+        report.threads = 4;
+        report
+            .records
+            .push(record("matmul", &[("n", 256), ("k", 8)], 1000.0, 4000.0));
+        report.records.push(
+            BenchRecord::new("structured", &[("n", 65536), ("queries", 1024)], 5000.0)
+                .with_detail("select", 1000.0)
+                .with_detail("answer", 4000.0),
+        );
+        let json = report.to_json();
+        assert!(
+            json.starts_with("{\n  \"format\": \"mm-bench/v2\",\n"),
+            "{json}"
+        );
+        assert!(json.contains("\"bench\": \"batch\""), "{json}");
+        assert!(json.contains("\"quick\": true"), "{json}");
+        assert!(json.contains("\"threads\": 4"), "{json}");
+        assert!(json.contains(
+            "{\"scenario\": \"matmul\", \"params\": {\"n\": 256, \"k\": 8}, \
+             \"total_ns\": 1000.0, \"baseline_ns\": 4000.0, \"detail_ns\": {}},\n"
+        ));
+        assert!(json.contains(
+            "\"baseline_ns\": null, \"detail_ns\": {\"select\": 1000.0, \"answer\": 4000.0}}\n"
+        ));
+        assert!(!json.contains("speedup"), "{json}");
+    }
+
+    #[test]
+    fn writer_nulls_non_finite_timings_escapes_names_and_keeps_param_order() {
+        let mut report = BenchReport::new("x", false);
+        report.records.push(
+            BenchRecord::new("a \"b\"\\c\n", &[("z", 1), ("a", 2), ("m", 3)], f64::NAN)
+                .with_baseline(f64::INFINITY)
+                .with_detail("p\t90", f64::NEG_INFINITY),
+        );
+        let json = report.to_json();
+        assert!(
+            json.contains("\"scenario\": \"a \\\"b\\\"\\\\c\\n\""),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"params\": {\"z\": 1, \"a\": 2, \"m\": 3}"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"total_ns\": null, \"baseline_ns\": null"),
+            "{json}"
+        );
+        assert!(json.contains("\"detail_ns\": {\"p\\t90\": null}"), "{json}");
+    }
+
+    #[test]
+    fn latency_tails_need_ten_samples_beyond_them() {
+        let samples = |count: usize| -> Vec<f64> { (1..=count).rev().map(|i| i as f64).collect() };
+        let r = BenchRecord::from_latencies("soak", &[("n", 48)], &samples(99));
+        assert_eq!(r.total_ns, 50.0);
+        assert_eq!(r.params, vec![("n".into(), 48), ("samples".into(), 99)]);
+        assert!(r.detail_ns.is_empty(), "{:?}", r.detail_ns);
+        let r = BenchRecord::from_latencies("soak", &[], &samples(100));
+        assert_eq!(r.detail_ns, vec![("p90".into(), 90.0)]);
+        let r = BenchRecord::from_latencies("soak", &[], &samples(512));
+        assert_eq!(r.detail_ns, vec![("p90".into(), 461.0)]);
+        let r = BenchRecord::from_latencies("soak", &[], &samples(1000));
+        assert_eq!(r.total_ns, 501.0);
+        assert_eq!(r.detail_ns, vec![("p99".into(), 990.0)]);
+        let r = BenchRecord::from_latencies("start", &[], &[3.0, 1.0, 2.0]);
+        assert_eq!((r.total_ns, r.param("samples")), (2.0, Some(3)));
+        assert!(r.detail_ns.is_empty());
+        let r = BenchRecord::from_latencies("none", &[], &[]);
+        assert!(r.total_ns.is_nan());
+    }
+
+    #[test]
+    fn batch_gate_clause() {
+        let passing = || {
+            vec![
+                // matmul is recorded but not gated; K = 1 is exempt.
+                record("matmul", &[("n", 256), ("k", 8)], 100.0, 50.0),
+                record("solve_multi", &[("n", 256), ("k", 1)], 100.0, 80.0),
+                record("solve_multi", &[("n", 256), ("k", 8)], 100.0, 150.0),
+                record(
+                    "engine_answer_batch",
+                    &[("n", 256), ("k", 64)],
+                    100.0,
+                    500.0,
+                ),
+            ]
+        };
+        assert_eq!(check(batch_gates, passing()), Ok(()));
+        let mut losing = passing();
+        losing.push(record(
             "engine_answer_batch",
-            1024,
-            64,
-            2.0,
-            5.0,
+            &[("n", 1024), ("k", 8)],
+            100.0,
+            90.0,
         ));
-        let json = report.to_json();
-        assert!(json.contains("\"format\": \"mm-bench/batch-v1\""));
-        assert!(json.contains("\"quick\": true"));
-        assert!(json.contains("\"scenario\": \"matmul\""));
-        assert!(json.contains("\"n\": 256"));
-        assert!(json.contains("\"k\": 8"));
-        assert!(json.contains("\"batched_ns_per_op\": 1000.0"));
-        assert!(json.contains("\"speedup\": 4.0"));
-        // Two records, comma-separated, last one bare.
-        assert_eq!(json.matches("\"scenario\"").count(), 2);
-        assert!(json.contains("\"speedup\": 2.5}\n"));
+        let err = check(batch_gates, losing).unwrap_err();
+        assert!(
+            err.contains("engine_answer_batch n=1024 k=8: 0.90x < 1.00x"),
+            "{err}"
+        );
+        let mut nan = passing();
+        nan[2].total_ns = f64::NAN;
+        assert!(check(batch_gates, nan).is_err());
+        // With nothing at K >= 8 for solve_multi, the clause compares no
+        // record and fails.
+        let mut empty = passing();
+        empty.remove(2);
+        let err = check(batch_gates, empty).unwrap_err();
+        assert!(err.contains("no `solve_multi` record"), "{err}");
     }
 
     #[test]
-    fn selection_report_json_schema() {
-        let mut report = SelectionBenchReport::new(true, 4);
-        report.push(SelectionBenchRecord::new("cholesky", 512, 1000.0, 5000.0));
-        report.push(SelectionBenchRecord::new(
-            "selection_eigen_design",
-            1024,
-            2.0,
-            9.0,
-        ));
-        let json = report.to_json();
-        assert!(json.contains("\"format\": \"mm-bench/selection-v1\""));
-        assert!(json.contains("\"quick\": true"));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"scenario\": \"cholesky\""));
-        assert!(json.contains("\"n\": 512"));
-        assert!(json.contains("\"optimized_ns_per_op\": 1000.0"));
-        assert!(json.contains("\"speedup\": 5.0"));
-        assert_eq!(json.matches("\"scenario\"").count(), 2);
-        assert!(json.contains("\"speedup\": 4.5}\n"));
-        // Infinite speedup serialises as null.
-        let r = SelectionBenchRecord::new("s", 4, 0.0, 100.0);
-        assert!(r.speedup.is_infinite());
-        let json = SelectionBenchReport {
-            quick: false,
-            threads: 1,
-            records: vec![r],
-        }
-        .to_json();
-        assert!(json.contains("\"speedup\": null"), "{json}");
-    }
-
-    #[test]
-    fn selection_report_gate() {
-        let mut report = SelectionBenchReport::new(true, 1);
-        report.push(SelectionBenchRecord::new("cholesky", 256, 100.0, 90.0));
-        report.push(SelectionBenchRecord::new("cholesky", 512, 100.0, 300.0));
-        report.push(SelectionBenchRecord::new("cholesky", 1024, 100.0, 450.0));
-        // n < min_n records are exempt; both n >= 512 records pass.
-        assert!(report.gate("cholesky", 512, 1.0).is_ok());
-        // A losing large-n record trips the gate with a description.
-        report.push(SelectionBenchRecord::new("cholesky", 2048, 100.0, 80.0));
-        let err = report.gate("cholesky", 512, 1.0).unwrap_err();
-        assert!(err.contains("cholesky n=2048"), "{err}");
-        assert!(err.contains("0.80x"), "{err}");
-        // An empty gate (unknown scenario or too-large min_n) must fail.
-        assert!(report.gate("eigen", 512, 1.0).is_err());
-        assert!(report.gate("cholesky", 4096, 1.0).is_err());
-        // NaN speedups fail the gate.
-        let nan = SelectionBenchReport {
-            quick: false,
-            threads: 1,
-            records: vec![SelectionBenchRecord {
-                scenario: "cholesky".into(),
-                n: 512,
-                optimized_ns_per_op: f64::NAN,
-                baseline_ns_per_op: f64::NAN,
-                speedup: f64::NAN,
-            }],
+    fn selection_cholesky_gate_clause() {
+        let passing = || {
+            vec![
+                record("cholesky", &[("n", 256)], 100.0, 90.0),
+                record("cholesky", &[("n", 512)], 100.0, 300.0),
+                record("eigen", &[("n", 512)], 100.0, 10.0),
+                record("selection_low_rank", &[("n", 4096), ("r", 16)], 1.0, 9.0),
+                record("selection_low_rank", &[("n", 4096), ("r", 64)], 1.0, 9.0),
+            ]
         };
-        assert!(nan.gate("cholesky", 512, 1.0).is_err());
+        assert_eq!(check(selection_gates, passing()), Ok(()));
+        let mut losing = passing();
+        losing.push(record("cholesky", &[("n", 2048)], 100.0, 80.0));
+        let err = check(selection_gates, losing).unwrap_err();
+        assert!(err.contains("cholesky n=2048: 0.80x < 1.00x"), "{err}");
+        let mut nan = passing();
+        nan[1].baseline_ns = Some(f64::NAN);
+        assert!(check(selection_gates, nan).is_err());
+        let mut empty = passing();
+        empty.remove(1);
+        let err = check(selection_gates, empty).unwrap_err();
+        assert!(err.contains("no `cholesky` record"), "{err}");
     }
 
     #[test]
-    fn serving_report_json_schema() {
-        let mut report = ServingBenchReport::new(true, 2);
-        report.push(ServingBenchRecord::from_latencies(
-            "cold_start",
-            1024,
-            1,
-            &[50_000.0],
-        ));
-        report.push(ServingBenchRecord::from_latencies(
-            "soak_warm",
-            256,
-            8,
-            &[10.0, 20.0, 30.0, 40.0],
-        ));
-        let json = report.to_json();
-        assert!(json.contains("\"format\": \"mm-bench/serving-v1\""));
-        assert!(json.contains("\"quick\": true"));
-        assert!(json.contains("\"workers\": 2"));
-        assert!(json.contains("\"scenario\": \"cold_start\""));
-        assert!(json.contains("\"clients\": 8"));
-        assert!(json.contains("\"requests\": 4"));
-        assert_eq!(json.matches("\"scenario\"").count(), 2);
+    fn selection_low_rank_gate_clause() {
+        let passing = || {
+            vec![
+                record("cholesky", &[("n", 512)], 100.0, 300.0),
+                record("selection_low_rank", &[("n", 1024), ("r", 16)], 100.0, 50.0),
+                record("selection_low_rank", &[("n", 4096), ("r", 16)], 1.0, 9.0),
+                record("selection_low_rank", &[("n", 4096), ("r", 64)], 1.0, 9.0),
+                record("selection_low_rank", &[("n", 4096), ("r", 256)], 9.0, 1.0),
+            ]
+        };
+        assert_eq!(check(selection_gates, passing()), Ok(()));
+        let mut losing = passing();
+        losing[3].total_ns = 10.0;
+        let err = check(selection_gates, losing).unwrap_err();
+        assert!(
+            err.contains("selection_low_rank n=4096 r=64: 0.90x < 1.00x"),
+            "{err}"
+        );
+        let mut nan = passing();
+        nan[2].total_ns = f64::NAN;
+        assert!(check(selection_gates, nan).is_err());
+        // r = 16 and r = 64 are separate clauses: one alone does not pass.
+        let mut empty = passing();
+        empty.remove(3);
+        let err = check(selection_gates, empty).unwrap_err();
+        assert!(err.contains("no `selection_low_rank` record"), "{err}");
     }
 
     #[test]
-    fn serving_record_quantiles() {
-        let latencies: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let r = ServingBenchRecord::from_latencies("soak_cold", 64, 4, &latencies);
-        assert_eq!(r.requests, 100);
-        assert_eq!(r.p50_ns, 51.0);
-        assert_eq!(r.p99_ns, 99.0);
-        // Ordering of the input must not matter.
-        let mut shuffled = latencies.clone();
-        shuffled.reverse();
-        let r2 = ServingBenchRecord::from_latencies("soak_cold", 64, 4, &shuffled);
-        assert_eq!(r, r2);
+    fn serving_warm_restart_gate_clause() {
+        let passing = || {
+            vec![
+                BenchRecord::from_latencies("cold_start", &[("n", 1024)], &[100_000.0]),
+                BenchRecord::from_latencies("warm_start", &[("n", 1024)], &[10_000.0])
+                    .with_baseline(100_000.0),
+                BenchRecord::from_latencies("warm_start", &[("n", 512)], &[50_000.0])
+                    .with_baseline(100_000.0),
+                BenchRecord::from_latencies("soak_warm", &[("n", 48)], &[10.0]),
+            ]
+        };
+        assert_eq!(check(serving_gates, passing()), Ok(()));
+        let mut losing = passing();
+        losing[1].total_ns = 25_000.0;
+        let err = check(serving_gates, losing).unwrap_err();
+        assert!(
+            err.contains("warm_start n=1024 samples=1: 4.00x < 5.00x"),
+            "{err}"
+        );
+        let mut nan = passing();
+        nan[1].baseline_ns = Some(f64::NAN);
+        assert!(check(serving_gates, nan).is_err());
+        let mut empty = passing();
+        empty[1].baseline_ns = None;
+        let err = check(serving_gates, empty).unwrap_err();
+        assert!(err.contains("no `warm_start` record"), "{err}");
     }
 
     #[test]
-    fn serving_warm_restart_gate() {
-        let mut report = ServingBenchReport::new(false, 2);
-        report.push(ServingBenchRecord::from_latencies(
-            "cold_start",
-            1024,
-            1,
-            &[100_000.0],
-        ));
-        // No warm_start pair yet: the gate must fail, not vacuously pass.
-        assert!(report.gate_warm_restart(1024, 5.0).is_err());
-        report.push(ServingBenchRecord::from_latencies(
-            "warm_start",
-            1024,
-            1,
-            &[10_000.0],
-        ));
-        assert!(report.gate_warm_restart(1024, 5.0).is_ok());
-        let err = report.gate_warm_restart(1024, 20.0).unwrap_err();
-        assert!(err.contains("warm restart n=1024"), "{err}");
-        assert!(err.contains("10.00x < 20.00x"), "{err}");
-        // Sub-threshold sizes are exempt.
-        assert!(report.gate_warm_restart(2048, 5.0).is_err());
-    }
-
-    #[test]
-    fn large_domain_report_json_schema() {
-        let mut report = LargeDomainReport::new(true, 4);
-        report.push(LargeDomainRecord::measured(
-            "structured",
-            65536,
-            1024,
-            1000.0,
-            4000.0,
-        ));
-        report.push(LargeDomainRecord::skipped("dense", 65536, 1024));
-        let json = report.to_json();
-        assert!(json.contains("\"format\": \"mm-bench/large-domain-v1\""));
-        assert!(json.contains("\"quick\": true"));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"scenario\": \"structured\""));
-        assert!(json.contains("\"n\": 65536"));
-        assert!(json.contains("\"queries\": 1024"));
-        assert!(json.contains("\"total_ns\": 5000.0"));
-        // Skipped rows stay in the artifact with null timings.
-        assert!(json.contains("\"skipped\": true"));
-        assert!(json.contains("\"select_ns\": null"), "{json}");
-        assert_eq!(json.matches("\"scenario\"").count(), 2);
-    }
-
-    #[test]
-    fn large_domain_gate() {
-        let mut report = LargeDomainReport::new(true, 1);
-        // Structured completes the headline size but no dense pair exists
-        // yet: the comparison clause must fail, not vacuously pass.
-        report.push(LargeDomainRecord::measured(
-            "structured",
-            65536,
-            1024,
-            1_000.0,
-            50_000.0,
-        ));
-        report.push(LargeDomainRecord::skipped("dense", 65536, 1024));
-        assert!(report.gate(4096, 65536).is_err());
-        // A winning pair at n >= min_n satisfies both clauses.
-        report.push(LargeDomainRecord::measured(
-            "structured",
-            4096,
-            1024,
-            1_000.0,
-            10_000.0,
-        ));
-        report.push(LargeDomainRecord::measured(
-            "dense", 4096, 1024, 500_000.0, 900_000.0,
-        ));
-        assert!(report.gate(4096, 65536).is_ok());
-        // Small-n dense wins are exempt (below min_n).
-        report.push(LargeDomainRecord::measured(
-            "structured",
-            1024,
-            1024,
-            1_000.0,
-            10_000.0,
-        ));
-        report.push(LargeDomainRecord::measured("dense", 1024, 1024, 10.0, 20.0));
-        assert!(report.gate(4096, 65536).is_ok());
-        // A losing large-n pair trips the gate with a description.
-        report.push(LargeDomainRecord::measured(
-            "structured",
-            8192,
-            1024,
-            1_000.0,
-            999_000.0,
-        ));
-        report.push(LargeDomainRecord::measured(
-            "dense", 8192, 1024, 100.0, 900.0,
-        ));
-        let err = report.gate(4096, 65536).unwrap_err();
-        assert!(err.contains("n=8192"), "{err}");
-        // A skipped headline size fails the completion clause.
-        let mut incomplete = LargeDomainReport::new(true, 1);
-        incomplete.push(LargeDomainRecord::skipped("structured", 65536, 1024));
-        let err = incomplete.gate(4096, 65536).unwrap_err();
+    fn large_domain_gate_clause() {
+        let structured = |n: usize, total: f64| {
+            BenchRecord::new("structured", &[("n", n), ("queries", 1024)], total)
+        };
+        let passing = || {
+            vec![
+                structured(1024, 1000.0).with_baseline(500.0),
+                structured(4096, 1000.0).with_baseline(900_000.0),
+                structured(65536, 7000.0),
+            ]
+        };
+        assert_eq!(check(large_domain_gates, passing()), Ok(()));
+        let mut losing = passing();
+        losing.push(structured(8192, 1000.0).with_baseline(900.0));
+        let err = check(large_domain_gates, losing).unwrap_err();
+        assert!(
+            err.contains("structured n=8192 queries=1024: 0.90x < 1.00x"),
+            "{err}"
+        );
+        let mut nan = passing();
+        nan[1].total_ns = f64::NAN;
+        assert!(check(large_domain_gates, nan).is_err());
+        let mut empty = passing();
+        empty[1].baseline_ns = None;
+        let err = check(large_domain_gates, empty).unwrap_err();
+        assert!(err.contains("no `structured` record"), "{err}");
+        // The headline size must be present and measured.
+        let mut missing = passing();
+        missing.pop();
+        let err = check(large_domain_gates, missing).unwrap_err();
         assert!(err.contains("structured n=65536"), "{err}");
-    }
-
-    #[test]
-    fn batch_record_speedup_edge_cases() {
-        let r = BatchBenchRecord::new("s", 4, 1, 0.0, 100.0);
-        assert!(r.speedup.is_infinite());
-        let json = BatchBenchReport {
-            quick: false,
-            records: vec![r],
-        }
-        .to_json();
-        assert!(json.contains("\"speedup\": null"), "{json}");
-    }
-
-    #[test]
-    fn batch_report_gate() {
-        let mut report = BatchBenchReport::new(true);
-        // K = 1 is exempt from the gate regardless of its speedup.
-        report.push(BatchBenchRecord::new("engine", 256, 1, 100.0, 80.0));
-        report.push(BatchBenchRecord::new("engine", 256, 8, 100.0, 150.0));
-        assert!(report.gate(8, 1.0).is_ok());
-        // A losing K = 64 record trips the gate with a description.
-        report.push(BatchBenchRecord::new("engine", 1024, 64, 100.0, 90.0));
-        let err = report.gate(8, 1.0).unwrap_err();
-        assert!(err.contains("engine n=1024 k=64"), "{err}");
-        assert!(err.contains("0.90x"), "{err}");
-        // NaN speedups must fail, not pass, the gate.
-        let nan = BatchBenchReport {
-            quick: false,
-            records: vec![BatchBenchRecord {
-                scenario: "s".into(),
-                n: 1,
-                k: 8,
-                batched_ns_per_op: f64::NAN,
-                baseline_ns_per_op: f64::NAN,
-                speedup: f64::NAN,
-            }],
-        };
-        assert!(nan.gate(8, 1.0).is_err());
+        let mut unmeasured = passing();
+        unmeasured[2].total_ns = f64::NAN;
+        assert!(check(large_domain_gates, unmeasured).is_err());
     }
 }

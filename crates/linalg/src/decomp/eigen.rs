@@ -56,7 +56,13 @@ const MAX_QL_ITER: usize = 100;
 const REDUCE_BLOCK: usize = 128;
 
 /// Minimum number of updated entries before a phase spawns worker threads.
-const EIG_PARALLEL_WORK: usize = 16_384;
+///
+/// Each phase starts its own scoped threads, and below about a million
+/// entries the start-up costs more than the split saves: on a 2-vCPU host an
+/// n = 256 eigensolve took 41 ms on two threads against 9 ms on one at a
+/// floor of 16 384.  No phase of an n ≤ 1024 eigensolve reaches this floor
+/// (its largest is 1024 × 1023 entries); n = 2048 still gains from threads.
+const EIG_PARALLEL_WORK: usize = 1 << 20;
 
 /// Eigendecomposition of a real symmetric matrix `A = Qᵀ diag(λ) Q`.
 ///
@@ -917,10 +923,10 @@ mod tests {
     fn row_basis_ql_is_the_scalar_reference_bit_for_bit() {
         // From one tred2 output, the row-basis QL must reproduce the
         // textbook column-at-a-time QL exactly: every eigenvalue, and basis
-        // row j equal to reference column j.  The sizes make each sweep's
-        // early rotations exceed the parallel floor, so under
-        // MM_LINALG_THREADS > 1 the column-chunk split runs.  Replaying a
-        // sweep in any other rotation order changes these bits.
+        // row j equal to reference column j.  These sizes stay below the
+        // parallel floor, so the sweeps run on one thread; the threaded
+        // split is pinned by `tests/determinism.rs`'s n = 1056 eigensolve.
+        // Replaying a sweep in any other rotation order changes these bits.
         let cases = [
             ("all-range 192", all_range_gram(192)),
             (

@@ -25,6 +25,7 @@ struct KernelBits {
     trace_term: u64,
     eigenvalues: Vec<u64>,
     eigenvectors: Vec<u64>,
+    threaded_eigen: Option<(Vec<u64>, Vec<u64>)>,
     syrk: Vec<u64>,
     trsm: Vec<u64>,
     matmul: Vec<u64>,
@@ -45,7 +46,7 @@ fn bits_of(values: &[f64]) -> Vec<u64> {
 /// Sizes are chosen so every parallel path actually engages when more than
 /// one thread is allowed: the matmul threshold (rows ≥ 96, work > 10⁶, met
 /// at width 1 too by the span products), the SYRK/TRSM work floor (32 768)
-/// and the eigensolver floor (16 384).
+/// and, in release builds, the eigensolver floor (2²⁰ entries).
 fn run_kernels() -> KernelBits {
     // Blocked Cholesky + the multi-RHS trace term on a dense SPD gram.
     let n = 192;
@@ -60,11 +61,21 @@ fn run_kernels() -> KernelBits {
         .expect("dimensions match");
 
     // Symmetric eigendecomposition of a structured (degenerate-spectrum)
-    // workload gram — the hard case for the QL sweeps.  n = 192 clears the
-    // eigensolver's 16 384-entry parallel floor for *every* phase including
-    // the tred2 rank-2 update (which needs (l+1)²/2 ≥ 16 384, i.e. n ≥ 182).
+    // workload gram — the hard case for the QL sweeps.  n = 192 runs every
+    // phase on the calling thread.  n = 1056 passes the eigensolver's 2²⁰
+    // entry floor in tred2's matvec reductions and accumulation (i ≥ 1024)
+    // and in QL's longer sweeps (≥ 993 rotations), so those phases split
+    // across threads; it takes about a second a pass, so debug builds skip it.
     let eig_gram = AllRangeWorkload::new(Domain::one_dim(192)).gram();
     let eig = SymmetricEigen::new(&eig_gram).expect("gram is symmetric");
+    let threaded_eigen = (!cfg!(debug_assertions)).then(|| {
+        let gram = AllRangeWorkload::new(Domain::one_dim(1056)).gram();
+        let eig = SymmetricEigen::new(&gram).expect("gram is symmetric");
+        (
+            bits_of(eig.eigenvalues()),
+            bits_of(eig.eigenvector_rows().as_slice()),
+        )
+    });
 
     // Raw SYRK / TRSM / matmul kernels.
     let a = Matrix::from_fn(200, 64, |i, j| ((i * 5 + j * 13) % 23) as f64 - 11.0);
@@ -156,6 +167,7 @@ fn run_kernels() -> KernelBits {
         trace_term: trace.to_bits(),
         eigenvalues: bits_of(eig.eigenvalues()),
         eigenvectors: bits_of(eig.eigenvector_rows().as_slice()),
+        threaded_eigen,
         syrk: bits_of(c.as_slice()),
         trsm: bits_of(x.as_slice()),
         matmul: bits_of(prod.as_slice()),
