@@ -23,7 +23,11 @@
 //!   long-ish tail), every request a hand-rolled future, all clients
 //!   multiplexed on one `join_all`.  `soak_cold` starts with an empty cache
 //!   — misses pile onto in-flight selections; `soak_warm` replays a fresh
-//!   plan against the warmed tier.
+//!   plan against the warmed tier.  The 8 selection misses are a few per
+//!   cent of `soak_cold`'s requests, below any tail its sample count
+//!   allows, so `soak_cold_wait` (same params) records on its own the
+//!   requests whose first poll returned `Pending`: those that waited on a
+//!   selection.  The warm pass must have none.
 //!
 //! `MM_BENCH_QUICK=1` is CI's short mode: fewer iterations and requests
 //! (the restart scenarios still reach n = 1024 — the gate needs them).
@@ -136,39 +140,46 @@ fn bench_restart(report: &mut BenchReport, cfg: &Config, n: usize) {
 }
 
 /// A soak client: answers its request plan sequentially, recording the
-/// latency of each served answer.  Plain hand-rolled future — `join_all`
-/// multiplexes all clients on the bench thread.
+/// latency of each served answer and whether it waited on a selection.
+/// Plain hand-rolled future — `join_all` multiplexes all clients on the
+/// bench thread.
 struct Client<'a> {
     serve: &'a ServeEngine,
     /// Remaining requests, popped from the back.
     plan: Vec<(Arc<AllRangeWorkload>, Vec<f64>, u64)>,
-    current: Option<(AnswerFuture<AllRangeWorkload>, Instant)>,
-    latencies: Vec<f64>,
+    /// The request in flight, when it was sent, and whether its first poll
+    /// returned `Pending`.
+    current: Option<(AnswerFuture<AllRangeWorkload>, Instant, bool)>,
+    latencies: Vec<(f64, bool)>,
 }
 
 impl Future for Client<'_> {
-    type Output = Vec<f64>;
+    type Output = Vec<(f64, bool)>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<f64>> {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<(f64, bool)>> {
         let this = self.get_mut();
         loop {
             if this.current.is_none() {
                 match this.plan.pop() {
                     Some((workload, x, seed)) => {
                         let fut = this.serve.answer(workload, x, seed);
-                        this.current = Some((fut, Instant::now()));
+                        this.current = Some((fut, Instant::now(), false));
                     }
                     None => return Poll::Ready(std::mem::take(&mut this.latencies)),
                 }
             }
-            let (fut, started) = this.current.as_mut().expect("request in flight");
+            let (fut, started, waited) = this.current.as_mut().expect("request in flight");
             match Pin::new(fut).poll(cx) {
                 Poll::Ready(result) => {
                     result.expect("served answer succeeds");
-                    this.latencies.push(started.elapsed().as_nanos() as f64);
+                    let latency = started.elapsed().as_nanos() as f64;
+                    this.latencies.push((latency, *waited));
                     this.current = None;
                 }
-                Poll::Pending => return Poll::Pending,
+                Poll::Pending => {
+                    *waited = true;
+                    return Poll::Pending;
+                }
             }
         }
     }
@@ -203,12 +214,14 @@ fn zipf_plan(
         .collect()
 }
 
+/// Every request's latency, and the latencies of the requests that waited
+/// on a selection.
 fn run_soak(
     serve: &ServeEngine,
     workloads: &[Arc<AllRangeWorkload>],
     cfg: &Config,
     seed: u64,
-) -> Vec<f64> {
+) -> (Vec<f64>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let clients: Vec<Client<'_>> = (0..cfg.clients)
         .map(|_| Client {
@@ -218,7 +231,9 @@ fn run_soak(
             latencies: Vec::with_capacity(cfg.requests_per_client),
         })
         .collect();
-    block_on(join_all(clients)).into_iter().flatten().collect()
+    let done: Vec<(f64, bool)> = block_on(join_all(clients)).into_iter().flatten().collect();
+    let waited = done.iter().filter(|r| r.1).map(|r| r.0).collect();
+    (done.into_iter().map(|r| r.0).collect(), waited)
 }
 
 fn bench_soak(report: &mut BenchReport, cfg: &Config) {
@@ -241,26 +256,35 @@ fn bench_soak(report: &mut BenchReport, cfg: &Config) {
         ("clients", cfg.clients),
         ("workers", SERVE_WORKERS),
     ];
-    let cold = run_soak(&serve, &workloads, cfg, 1);
-    report
-        .records
-        .push(BenchRecord::from_latencies("soak_cold", &params, &cold));
-    let warm = run_soak(&serve, &workloads, cfg, 2);
+    let (cold, cold_waited) = run_soak(&serve, &workloads, cfg, 1);
+    report.records.extend([
+        BenchRecord::from_latencies("soak_cold", &params, &cold),
+        BenchRecord::from_latencies("soak_cold_wait", &params, &cold_waited),
+    ]);
+    let (warm, warm_waited) = run_soak(&serve, &workloads, cfg, 2);
     report
         .records
         .push(BenchRecord::from_latencies("soak_warm", &params, &warm));
     let stats = serve.stats();
     println!(
-        "soak: {} submitted, {} completed, {} selection jobs ({} distinct workloads)",
+        "soak: {} submitted, {} completed, {} selection jobs ({} distinct workloads), \
+         {} of {} cold requests waited on a selection",
         stats.submitted,
         stats.completed,
         stats.selection_jobs,
-        workloads.len()
+        workloads.len(),
+        cold_waited.len(),
+        cold.len()
     );
     assert_eq!(
         stats.selection_jobs,
         workloads.len() as u64,
         "every distinct fingerprint selects exactly once across the soak"
+    );
+    assert!(
+        warm_waited.is_empty(),
+        "{} warm requests waited on a selection",
+        warm_waited.len()
     );
 }
 

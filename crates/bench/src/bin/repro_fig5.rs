@@ -119,17 +119,17 @@ fn run_row<W: Workload>(
     wavelet: Option<MatrixDesignSelector>,
     fourier: Option<MatrixDesignSelector>,
 ) {
-    let engine_for = |selector: Box<dyn StrategySelector>| -> Engine {
+    fn engine_for(privacy: &PrivacyParams, selector: impl StrategySelector + 'static) -> Engine {
         Engine::builder()
             .privacy(*privacy)
-            .selector_arc(selector.into())
+            .selector(selector)
             .build()
             .expect("gaussian parameters are valid for every selector")
-    };
-    let err_for = |selector: Option<Box<dyn StrategySelector>>| -> String {
+    }
+    let err_for = |selector: Option<MatrixDesignSelector>| -> String {
         match selector {
             Some(sel) => {
-                let engine = engine_for(sel);
+                let engine = engine_for(privacy, sel);
                 match engine.select(workload) {
                     Ok((strategy, _, _)) => fmt(engine
                         .expected_rms_error(workload, &strategy, privacy)
@@ -140,9 +140,9 @@ fn run_row<W: Workload>(
             None => "-".to_string(),
         }
     };
-    let wavelet_err = err_for(wavelet.map(|s| Box::new(s) as Box<dyn StrategySelector>));
-    let fourier_err = err_for(fourier.map(|s| Box::new(s) as Box<dyn StrategySelector>));
-    let eigen_engine = engine_for(Box::new(EigenDesignSelector::new()));
+    let wavelet_err = err_for(wavelet);
+    let fourier_err = err_for(fourier);
+    let eigen_engine = engine_for(privacy, EigenDesignSelector::new());
     let (eigen_strategy, _, _) = eigen_engine.select(workload).expect("eigen design");
     let eigen_err = eigen_engine
         .expected_rms_error(workload, &eigen_strategy, privacy)

@@ -163,21 +163,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets an already-shared strategy selector.
-    pub fn selector_arc(mut self, selector: Arc<dyn StrategySelector>) -> Self {
-        self.selector = Some(selector);
-        self
-    }
-
     /// Sets the noise backend (default: Gaussian when δ > 0, else Laplace).
     pub fn backend(mut self, backend: impl NoiseBackend + 'static) -> Self {
         self.backend = Some(Arc::new(backend));
-        self
-    }
-
-    /// Sets an already-shared noise backend.
-    pub fn backend_arc(mut self, backend: Arc<dyn NoiseBackend>) -> Self {
-        self.backend = Some(backend);
         self
     }
 
@@ -190,12 +178,6 @@ impl EngineBuilder {
     /// [`crate::accounting::RdpAccounting`]).
     pub fn accountant(mut self, factory: impl AccountantFactory + 'static) -> Self {
         self.accountant = Some(Arc::new(factory));
-        self
-    }
-
-    /// Sets an already-shared accounting policy.
-    pub fn accountant_arc(mut self, factory: Arc<dyn AccountantFactory>) -> Self {
-        self.accountant = Some(factory);
         self
     }
 
@@ -237,12 +219,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets an already-shared structured selector.
-    pub fn structured_selector_arc(mut self, selector: Arc<dyn StructuredSelector>) -> Self {
-        self.structured_selector = Some(selector);
-        self
-    }
-
     /// Answers dense workloads through the Low-Rank Mechanism: strategy
     /// selection runs inside the top-`rank` eigen-subspace of the workload
     /// gram (extracted by truncated block subspace iteration) in
@@ -266,13 +242,6 @@ impl EngineBuilder {
     /// engines leave it alone.
     pub fn fault_injector(mut self, injector: impl FaultInjector + 'static) -> Self {
         self.fault_injector = Some(Arc::new(injector));
-        self
-    }
-
-    /// Sets an already-shared fault injector (e.g. a
-    /// [`crate::faults::FaultSchedule`] a test also keeps a handle to).
-    pub fn fault_injector_arc(mut self, injector: Arc<dyn FaultInjector>) -> Self {
-        self.fault_injector = Some(injector);
         self
     }
 

@@ -1,7 +1,6 @@
-//! The serving futures: one generic [`ServeFuture`] state machine over a
-//! [`ServeRequest`], with [`BatchFuture`] / [`AnswerFuture`] /
-//! [`StructuredFuture`] as its public faces, plus the shared in-flight
-//! [`SelectionTask`] waiters register wakers on.
+//! The serving future: one [`AnswerFuture`] state machine for every request
+//! kind, plus the shared in-flight [`SelectionTask`] waiters register wakers
+//! on.
 //!
 //! The state machine is deliberately small.  A future is born `Active`
 //! (or `Failed` when rejected at submit); each poll either
@@ -15,9 +14,10 @@
 //! poll of each lands in case 1.  Answer assembly thus always happens on
 //! the polling task with its own seeded RNG — the worker pool only ever
 //! runs selections, which is what makes served answers bit-identical to
-//! direct engine calls.  Requests whose selection is too cheap to be worth
-//! a worker round-trip (the structured path) return no fingerprint and run
-//! entirely inline on the first poll.
+//! direct engine calls.  A request kind is two values fixed at submit: the
+//! plan key and the engine answer call.  A request whose selection is too
+//! cheap to be worth a worker round-trip (the structured path) carries no
+//! key and runs entirely inline on the first poll.
 //!
 //! Every future may additionally carry a **deadline** (builder default or a
 //! per-future override): an expired request resolves with the typed
@@ -29,9 +29,9 @@
 
 use crate::{Inner, ServeError};
 use mm_core::accounting::UserLedger;
-use mm_core::engine::{Engine, EngineAnswer, StructuredAnswer};
+use mm_core::engine::{Engine, EngineAnswer};
 use mm_core::MechanismError;
-use mm_workload::{Fingerprint, StructuredWorkload, Workload};
+use mm_workload::{Fingerprint, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::future::Future;
@@ -110,31 +110,11 @@ impl SelectionTask {
     }
 }
 
-/// The deferred selection work a founded worker job runs for a request.
-pub(crate) type SelectionJob = Box<dyn FnOnce(&Engine) -> mm_core::Result<()> + Send + 'static>;
-
-/// One admitted serving request: what the generic [`ServeFuture`] needs to
-/// key, select, and answer it.  Implemented by the dense batch request and
-/// the structured request; both front-ends collapse onto the one state
-/// machine through this trait.
-pub(crate) trait ServeRequest {
-    /// What the future resolves to on success.
-    type Output;
-
-    /// The plan fingerprint to deduplicate cold selections on, or `None`
-    /// when selection is cheap enough to run inline on the polling task
-    /// (the structured path) — such requests never touch the worker pool.
-    fn fingerprint(&self) -> Option<Fingerprint>;
-
-    /// The selection work a founded worker job runs for this request
-    /// (only called when [`ServeRequest::fingerprint`] is `Some`).
-    fn selection(&self) -> SelectionJob;
-
-    /// Produces the answer through the engine's own sync paths, so served
-    /// semantics (batching, accounting, noise draws) are exactly the direct
-    /// ones.
-    fn answer(&mut self, inner: &Inner) -> Result<Self::Output, ServeError>;
-}
+/// The engine answer call of one request kind, run on the polling task once
+/// the plan is warm: the engine (for a ledger's session), the workload, the
+/// data vectors, the rng seeded from the request, and the ledger to charge.
+pub(crate) type AnswerCall<W, T> =
+    fn(&Arc<Engine>, &W, &[Vec<f64>], &mut StdRng, Option<&UserLedger>) -> mm_core::Result<T>;
 
 enum FutState {
     /// Rejected at submit; resolves with the stored error on first poll.
@@ -145,10 +125,27 @@ enum FutState {
     Finished,
 }
 
-/// The one serving state machine: every front-end future wraps this.
-pub(crate) struct ServeFuture<R: ServeRequest> {
+/// Future of one served request: resolves to `T` or a [`ServeError`].
+///
+/// Created by [`crate::ServeEngine`]'s six `answer*` methods, which fix the
+/// request kind at submit: a single dense vector resolves to one
+/// [`EngineAnswer`] (the default `T`), a batch to `Vec<EngineAnswer>`, and a
+/// structured request to a
+/// [`StructuredAnswer`](mm_core::engine::StructuredAnswer).  A dense request
+/// waits (without blocking) on the one selection flight for its plan key; a
+/// structured one has no key and answers on its first poll.  `Unpin` by
+/// construction, so it composes with [`crate::join_all`] without pinning
+/// ceremony.
+pub struct AnswerFuture<W: Workload + Send + Sync + ?Sized + 'static, T = EngineAnswer> {
     inner: Arc<Inner>,
-    request: R,
+    workload: Arc<W>,
+    xs: Vec<Vec<f64>>,
+    seed: u64,
+    ledger: Option<UserLedger>,
+    /// The plan fingerprint cold selections deduplicate on; `None` for a
+    /// request whose selection runs inline on the polling task.
+    key: Option<Fingerprint>,
+    answer: AnswerCall<W, T>,
     task: Option<Arc<SelectionTask>>,
     state: FutState,
     /// When set, the request fails with [`ServeError::DeadlineExceeded`]
@@ -157,33 +154,61 @@ pub(crate) struct ServeFuture<R: ServeRequest> {
     deadline: Option<(Instant, Duration)>,
 }
 
-impl<R: ServeRequest> ServeFuture<R> {
-    pub(crate) fn new(inner: Arc<Inner>, request: R) -> Self {
-        let deadline = inner.default_deadline.map(|d| (Instant::now() + d, d));
-        ServeFuture {
+impl<W: Workload + Send + Sync + ?Sized + 'static, T> std::fmt::Debug for AnswerFuture<W, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AnswerFuture")
+            .field("key", &self.key)
+            .field("vectors", &self.xs.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<W: Workload + Send + Sync + ?Sized + 'static, T> AnswerFuture<W, T> {
+    /// A request admitted with plan key `key`, or rejected at submit time
+    /// (malformed input, NaN gram, no budget headroom) when `admitted` is
+    /// an error: a rejected future resolves with it on its first poll and
+    /// carries no deadline.
+    pub(crate) fn new(
+        inner: Arc<Inner>,
+        workload: Arc<W>,
+        xs: Vec<Vec<f64>>,
+        seed: u64,
+        ledger: Option<UserLedger>,
+        admitted: Result<Option<Fingerprint>, ServeError>,
+        answer: AnswerCall<W, T>,
+    ) -> Self {
+        let (key, state, deadline) = match admitted {
+            Ok(key) => (
+                key,
+                FutState::Active,
+                inner.default_deadline.map(|d| (Instant::now() + d, d)),
+            ),
+            Err(error) => (None, FutState::Failed(Some(error)), None),
+        };
+        AnswerFuture {
             inner,
-            request,
+            workload,
+            xs,
+            seed,
+            ledger,
+            key,
+            answer,
             task: None,
-            state: FutState::Active,
+            state,
             deadline,
         }
     }
 
-    /// A future rejected at submit time (malformed input, NaN gram, no budget
-    /// headroom).
-    pub(crate) fn failed(inner: Arc<Inner>, request: R, error: ServeError) -> Self {
-        ServeFuture {
-            inner,
-            request,
-            task: None,
-            state: FutState::Failed(Some(error)),
-            deadline: None,
-        }
-    }
-
-    /// Replaces the deadline: the clock starts now, not at submit.
-    pub(crate) fn set_deadline(&mut self, after: Duration) {
+    /// Fails the request with [`ServeError::DeadlineExceeded`] unless it
+    /// resolves within `after` of this call, overriding the serving tier's
+    /// default deadline (see
+    /// [`crate::ServeEngineBuilder::default_deadline`]).  Queued selection
+    /// jobs whose founder's deadline has passed are skipped, not run stale.
+    /// A request without a plan key runs inline on its first poll, so its
+    /// deadline only bites when that poll itself starts too late.
+    pub fn deadline(mut self, after: Duration) -> Self {
         self.deadline = Some((Instant::now() + after, after));
+        self
     }
 
     /// Joins the in-flight selection for `fp`, or founds one by enqueueing
@@ -199,7 +224,6 @@ impl<R: ServeRequest> ServeFuture<R> {
             return Ok(());
         }
         let task = SelectionTask::new();
-        let select = self.request.selection();
         // The founder's deadline rides along with the job: a queued
         // selection nobody can still be served by (its founder gave up and
         // every re-join would have re-founded) is skipped, not run stale.
@@ -207,6 +231,7 @@ impl<R: ServeRequest> ServeFuture<R> {
         let job: crate::Job = {
             let inner = self.inner.clone();
             let task = task.clone();
+            let workload = self.workload.clone();
             Box::new(move || {
                 if expires.is_some_and(|at| Instant::now() >= at) {
                     inner
@@ -218,11 +243,14 @@ impl<R: ServeRequest> ServeFuture<R> {
                     task.complete(Err(TaskFailure::Expired));
                     return;
                 }
-                // The engine's own single-flight guard handles concurrent
-                // sync callers; catch_unwind converts a panicking selector
-                // into a typed poison every waiter can observe.
+                // select_plan_for warms whichever plan kind the engine is
+                // configured for (dense or low-rank) under the same key the
+                // answer path will look up.  The engine's own single-flight
+                // guard handles concurrent sync callers; catch_unwind
+                // converts a panicking selector into a typed poison every
+                // waiter can observe.
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    select(&inner.engine)
+                    inner.engine.select_plan_for(&*workload)
                 }));
                 inner
                     .pending
@@ -230,7 +258,7 @@ impl<R: ServeRequest> ServeFuture<R> {
                     .unwrap_or_else(PoisonError::into_inner)
                     .remove(&fp.0);
                 let outcome = match outcome {
-                    Ok(Ok(())) => Ok(()),
+                    Ok(Ok(_)) => Ok(()),
                     Ok(Err(e)) => Err(TaskFailure::Mechanism(Arc::new(e))),
                     Err(panic) => {
                         let msg = if let Some(s) = panic.downcast_ref::<&str>() {
@@ -267,8 +295,8 @@ impl<R: ServeRequest> ServeFuture<R> {
     }
 }
 
-impl<R: ServeRequest + Unpin> Future for ServeFuture<R> {
-    type Output = Result<R::Output, ServeError>;
+impl<W: Workload + Send + Sync + ?Sized + 'static, T> Future for AnswerFuture<W, T> {
+    type Output = Result<T, ServeError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
@@ -292,7 +320,7 @@ impl<R: ServeRequest + Unpin> Future for ServeFuture<R> {
                 }));
             }
         }
-        if let Some(fp) = this.request.fingerprint() {
+        if let Some(fp) = this.key {
             // A completed selection job clears `task`, so losing a poll race
             // just re-runs the (cheap) cache probe.  The probe is plan-kind
             // agnostic: a cached low-rank plan is as warm as a dense one.
@@ -344,305 +372,23 @@ impl<R: ServeRequest + Unpin> Future for ServeFuture<R> {
                 }
             }
         }
-        let result = this.request.answer(&this.inner);
+        // The plan is warm (or selects inline): answer through the engine's
+        // own path, so batching, accounting and noise draws are exactly the
+        // direct ones, with the noise a pure function of the submitted seed.
+        let mut rng = StdRng::seed_from_u64(this.seed);
+        let result = (this.answer)(
+            &this.inner.engine,
+            &*this.workload,
+            &this.xs,
+            &mut rng,
+            this.ledger.as_ref(),
+        )
+        .map_err(ServeError::from);
         match &result {
             Ok(_) => this.inner.completed.fetch_add(1, Ordering::Relaxed),
             Err(_) => this.inner.failed.fetch_add(1, Ordering::Relaxed),
         };
         this.state = FutState::Finished;
         Poll::Ready(result)
-    }
-}
-
-/// The dense (batch) request: keyed by the engine's plan fingerprint, cold
-/// selections run on the worker pool.
-pub(crate) struct BatchRequest<W: Workload + Send + Sync + ?Sized + 'static> {
-    workload: Arc<W>,
-    xs: Vec<Vec<f64>>,
-    seed: u64,
-    ledger: Option<UserLedger>,
-    fp: Fingerprint,
-}
-
-impl<W: Workload + Send + Sync + ?Sized + 'static> ServeRequest for BatchRequest<W> {
-    type Output = Vec<EngineAnswer>;
-
-    fn fingerprint(&self) -> Option<Fingerprint> {
-        Some(self.fp)
-    }
-
-    fn selection(&self) -> SelectionJob {
-        let workload = self.workload.clone();
-        // select_plan_for warms whichever plan kind the engine is
-        // configured for (dense or low-rank) under the same fingerprint the
-        // answer path will look up.
-        Box::new(move |engine| engine.select_plan_for(&*workload).map(|_| ()))
-    }
-
-    /// The selection is warm (or this is the retry after a completed job):
-    /// produce the answers through the engine's own batch path, so batching
-    /// semantics, accounting, and noise draws are exactly the sync ones.
-    fn answer(&mut self, inner: &Inner) -> Result<Vec<EngineAnswer>, ServeError> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let xs = std::mem::take(&mut self.xs);
-        let result = match &self.ledger {
-            Some(ledger) => {
-                let mut session = inner.engine.user_session(ledger);
-                session.answer_batch(&*self.workload, &xs, &mut rng)
-            }
-            None => inner.engine.answer_batch(&*self.workload, &xs, &mut rng),
-        };
-        result.map_err(ServeError::from)
-    }
-}
-
-/// The structured (matrix-free) request: selection is O(n log n), so the
-/// whole request runs inline on the polling task — no fingerprint, no
-/// worker job.
-pub(crate) struct StructuredRequest<W: StructuredWorkload + Send + Sync + ?Sized + 'static> {
-    workload: Arc<W>,
-    x: Vec<f64>,
-    seed: u64,
-    ledger: Option<UserLedger>,
-}
-
-impl<W: StructuredWorkload + Send + Sync + ?Sized + 'static> ServeRequest for StructuredRequest<W> {
-    type Output = StructuredAnswer;
-
-    fn fingerprint(&self) -> Option<Fingerprint> {
-        None
-    }
-
-    fn selection(&self) -> SelectionJob {
-        // Never founded: fingerprint() is None, so the future answers inline.
-        Box::new(|_| Ok(()))
-    }
-
-    fn answer(&mut self, inner: &Inner) -> Result<StructuredAnswer, ServeError> {
-        // Same seeding discipline as the dense path: the noise draw is a
-        // pure function of the submitted seed, so served answers replay.
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let result = match &self.ledger {
-            Some(ledger) => {
-                let mut session = inner.engine.user_session(ledger);
-                session.answer_structured(&*self.workload, &self.x, &mut rng)
-            }
-            None => inner
-                .engine
-                .answer_structured(&*self.workload, &self.x, &mut rng),
-        };
-        result.map_err(ServeError::from)
-    }
-}
-
-/// Future of a batched request: resolves to one [`EngineAnswer`] per
-/// submitted data vector, or a [`ServeError`].
-///
-/// Created by [`crate::ServeEngine::answer_batch`] /
-/// [`crate::ServeEngine::answer_batch_for`].  `Unpin` by construction, so
-/// it composes with [`crate::join_all`] without pinning ceremony.
-pub struct BatchFuture<W: Workload + Send + Sync + ?Sized + 'static> {
-    fut: ServeFuture<BatchRequest<W>>,
-}
-
-impl<W: Workload + Send + Sync + ?Sized + 'static> std::fmt::Debug for BatchFuture<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchFuture")
-            .field("fp", &self.fut.request.fp)
-            .field("batch", &self.fut.request.xs.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<W: Workload + Send + Sync + ?Sized + 'static> BatchFuture<W> {
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        workload: Arc<W>,
-        xs: Vec<Vec<f64>>,
-        seed: u64,
-        ledger: Option<UserLedger>,
-        fp: Fingerprint,
-    ) -> Self {
-        BatchFuture {
-            fut: ServeFuture::new(
-                inner,
-                BatchRequest {
-                    workload,
-                    xs,
-                    seed,
-                    ledger,
-                    fp,
-                },
-            ),
-        }
-    }
-
-    /// A future rejected at submit time (malformed input, NaN gram, no budget
-    /// headroom).
-    pub(crate) fn failed(inner: Arc<Inner>, workload: Arc<W>, error: ServeError) -> Self {
-        BatchFuture {
-            fut: ServeFuture::failed(
-                inner,
-                BatchRequest {
-                    workload,
-                    xs: Vec::new(),
-                    seed: 0,
-                    ledger: None,
-                    fp: Fingerprint(0),
-                },
-                error,
-            ),
-        }
-    }
-
-    /// Fails the request with [`ServeError::DeadlineExceeded`] unless it
-    /// resolves within `after` of this call, overriding the serving tier's
-    /// default deadline (see
-    /// [`crate::ServeEngineBuilder::default_deadline`]).  Queued selection
-    /// jobs whose founder's deadline has passed are skipped, not run stale.
-    pub fn deadline(mut self, after: Duration) -> Self {
-        self.fut.set_deadline(after);
-        self
-    }
-}
-
-impl<W: Workload + Send + Sync + ?Sized + 'static> Future for BatchFuture<W> {
-    type Output = Result<Vec<EngineAnswer>, ServeError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.get_mut().fut).poll(cx)
-    }
-}
-
-/// Future of a structured (matrix-free) request: resolves to one
-/// [`StructuredAnswer`] or a [`ServeError`].  Created by
-/// [`crate::ServeEngine::answer_structured`] /
-/// [`crate::ServeEngine::answer_structured_for`].
-///
-/// Unlike [`BatchFuture`], this future never touches the worker pool:
-/// structured selection is O(n log n) (microseconds even at n = 65 536, no
-/// eigendecomposition), so the whole request — cache probe, selection,
-/// noisy observations, conjugate-gradient reconstruction — runs inline on
-/// the first poll.  The engine's plan lookup is single-flight, so
-/// concurrent first requests for one structured workload share one
-/// selection (and one store write).  Answers are bit-identical to a direct
-/// `engine.answer_structured` with a `StdRng` seeded the same way.
-pub struct StructuredFuture<W: StructuredWorkload + Send + Sync + ?Sized + 'static> {
-    fut: ServeFuture<StructuredRequest<W>>,
-}
-
-impl<W: StructuredWorkload + Send + Sync + ?Sized + 'static> std::fmt::Debug
-    for StructuredFuture<W>
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StructuredFuture")
-            .field("n", &self.fut.request.x.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<W: StructuredWorkload + Send + Sync + ?Sized + 'static> StructuredFuture<W> {
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        workload: Arc<W>,
-        x: Vec<f64>,
-        seed: u64,
-        ledger: Option<UserLedger>,
-    ) -> Self {
-        StructuredFuture {
-            fut: ServeFuture::new(
-                inner,
-                StructuredRequest {
-                    workload,
-                    x,
-                    seed,
-                    ledger,
-                },
-            ),
-        }
-    }
-
-    /// A future rejected at submit time (malformed input, no budget headroom).
-    pub(crate) fn failed(inner: Arc<Inner>, workload: Arc<W>, error: ServeError) -> Self {
-        StructuredFuture {
-            fut: ServeFuture::failed(
-                inner,
-                StructuredRequest {
-                    workload,
-                    x: Vec::new(),
-                    seed: 0,
-                    ledger: None,
-                },
-                error,
-            ),
-        }
-    }
-
-    /// Fails the request with [`ServeError::DeadlineExceeded`] unless it
-    /// resolves within `after` of this call (override of the builder
-    /// default).  The structured path runs inline on the first poll, so the
-    /// deadline only bites when that poll itself starts too late.
-    pub fn deadline(mut self, after: Duration) -> Self {
-        self.fut.set_deadline(after);
-        self
-    }
-}
-
-impl<W: StructuredWorkload + Send + Sync + ?Sized + 'static> Future for StructuredFuture<W> {
-    type Output = Result<StructuredAnswer, ServeError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.get_mut().fut).poll(cx)
-    }
-}
-
-/// Future of a single-vector request: resolves to one [`EngineAnswer`] or a
-/// [`ServeError`].  Created by [`crate::ServeEngine::answer`] /
-/// [`crate::ServeEngine::answer_for`].
-pub struct AnswerFuture<W: Workload + Send + Sync + ?Sized + 'static> {
-    batch: BatchFuture<W>,
-}
-
-impl<W: Workload + Send + Sync + ?Sized + 'static> std::fmt::Debug for AnswerFuture<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AnswerFuture")
-            .field("batch", &self.batch)
-            .finish()
-    }
-}
-
-impl<W: Workload + Send + Sync + ?Sized + 'static> AnswerFuture<W> {
-    pub(crate) fn new(batch: BatchFuture<W>) -> Self {
-        AnswerFuture { batch }
-    }
-
-    /// Fails the request with [`ServeError::DeadlineExceeded`] unless it
-    /// resolves within `after` of this call (override of the builder
-    /// default; see [`BatchFuture::deadline`]).
-    pub fn deadline(mut self, after: Duration) -> Self {
-        self.batch = self.batch.deadline(after);
-        self
-    }
-}
-
-impl<W: Workload + Send + Sync + ?Sized + 'static> Future for AnswerFuture<W> {
-    type Output = Result<EngineAnswer, ServeError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match Pin::new(&mut self.get_mut().batch).poll(cx) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(Err(e)) => Poll::Ready(Err(e)),
-            Poll::Ready(Ok(mut answers)) => Poll::Ready(match answers.pop() {
-                Some(answer) => Ok(answer),
-                // One submitted vector always yields one answer; if the
-                // engine ever broke that, surface it as a typed error
-                // rather than panicking the polling task.
-                None => Err(ServeError::Mechanism(Arc::new(
-                    MechanismError::InvalidArgument(
-                        "engine returned no answer for a one-vector batch".into(),
-                    ),
-                ))),
-            }),
-        }
     }
 }

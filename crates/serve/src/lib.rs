@@ -5,7 +5,7 @@
 //! budgets — the long-lived, warm, budget-governed query-answering layer the
 //! matrix mechanism's data-independent selection makes possible.
 //!
-//! Three properties distinguish it from calling the engine directly:
+//! Four properties distinguish it from calling the engine directly:
 //!
 //! * **Non-blocking waits.** `Engine::answer` on a cold workload blocks an
 //!   OS thread in the cache's single-flight wait.  [`ServeEngine::answer`]
@@ -13,9 +13,10 @@
 //!   enqueues one selection job on the worker pool, concurrent requests for
 //!   the same fingerprint *register wakers* on the in-flight job (no
 //!   duplicate selection, no blocked executor threads), and every waiter
-//!   resumes when the job completes.  The futures are plain `std` futures —
-//!   drive them with any runtime, or with the bundled [`block_on`] /
-//!   [`join_all`].
+//!   resumes when the job completes.  Every request kind (one dense
+//!   vector, a batch, a structured workload) is one [`AnswerFuture`],
+//!   generic over what it resolves to.  It is a plain `std` future: drive
+//!   it with any runtime, or with the bundled [`block_on`] / [`join_all`].
 //! * **Bounded admission.** The selection queue is bounded; when it is full,
 //!   new cold-workload requests fail fast with [`ServeError::Overloaded`]
 //!   instead of queueing without limit.  Every request first passes the
@@ -77,19 +78,20 @@ mod executor;
 mod future;
 
 pub use executor::{block_on, join_all, JoinAll};
-pub use future::{AnswerFuture, BatchFuture, StructuredFuture};
+pub use future::AnswerFuture;
 
 use mm_core::accounting::UserLedger;
-use mm_core::engine::{Engine, StoreHealth};
+use mm_core::engine::{Engine, EngineAnswer, StoreHealth, StructuredAnswer};
 use mm_core::{Fault, FaultSite, MechanismError};
 use mm_workload::{StructuredWorkload, Workload};
+use rand::rngs::StdRng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
-use future::{SelectionTask, TaskFailure};
+use future::{AnswerCall, SelectionTask, TaskFailure};
 
 /// Default number of selection worker threads.
 pub const DEFAULT_WORKERS: usize = 2;
@@ -181,7 +183,8 @@ impl From<MechanismError> for ServeError {
 /// Request counters of a [`ServeEngine`] (monotone since construction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
-    /// Futures created by `answer`/`answer_batch` (and the `_for` variants).
+    /// Futures created by `answer`/`answer_batch`/`answer_structured` (and
+    /// the `_for` variants).
     pub submitted: u64,
     /// Requests that resolved with answers.
     pub completed: u64,
@@ -569,7 +572,7 @@ impl ServeEngine {
     where
         W: Workload + Send + Sync + ?Sized + 'static,
     {
-        AnswerFuture::new(self.submit(workload, vec![x], seed, None))
+        self.submit(workload, vec![x], seed, None, true, dense_one)
     }
 
     /// [`ServeEngine::answer`] charged to a principal's shared
@@ -586,16 +589,21 @@ impl ServeEngine {
     where
         W: Workload + Send + Sync + ?Sized + 'static,
     {
-        AnswerFuture::new(self.submit(workload, vec![x], seed, Some(ledger.clone())))
+        self.submit(workload, vec![x], seed, Some(ledger), true, dense_one)
     }
 
     /// Answers one workload on many data vectors (one noise draw each, one
     /// cache/selection round for all — the engine's vectorised batch path).
-    pub fn answer_batch<W>(&self, workload: Arc<W>, xs: Vec<Vec<f64>>, seed: u64) -> BatchFuture<W>
+    pub fn answer_batch<W>(
+        &self,
+        workload: Arc<W>,
+        xs: Vec<Vec<f64>>,
+        seed: u64,
+    ) -> AnswerFuture<W, Vec<EngineAnswer>>
     where
         W: Workload + Send + Sync + ?Sized + 'static,
     {
-        self.submit(workload, xs, seed, None)
+        self.submit(workload, xs, seed, None, true, dense_batch)
     }
 
     /// [`ServeEngine::answer_batch`] charged to a principal's shared
@@ -606,33 +614,34 @@ impl ServeEngine {
         workload: Arc<W>,
         xs: Vec<Vec<f64>>,
         seed: u64,
-    ) -> BatchFuture<W>
+    ) -> AnswerFuture<W, Vec<EngineAnswer>>
     where
         W: Workload + Send + Sync + ?Sized + 'static,
     {
-        self.submit(workload, xs, seed, Some(ledger.clone()))
+        self.submit(workload, xs, seed, Some(ledger), true, dense_batch)
     }
 
     /// Answers a structured workload through the engine's matrix-free path
     /// ([`mm_core::Engine::answer_structured`]): noisy observations through
     /// the strategy operator, exact O(n) least-squares reconstruction, O(n)
     /// peak memory — the path that serves n = 65 536 where the dense tier
-    /// cannot even materialise its gram matrix.  The request never enqueues a
-    /// worker job (structured selection is O(n log n)); everything runs on
-    /// the first poll, and the answer is bit-identical to a direct engine
-    /// call with a `StdRng` seeded the same way.  Concurrent first requests
-    /// for one structured workload share one selection: the engine's plan
-    /// lookup is single-flight for every plan kind.
+    /// cannot even materialise its gram matrix.  The request carries no plan
+    /// key and never enqueues a worker job (structured selection is
+    /// O(n log n)); everything runs on the first poll, and the answer is
+    /// bit-identical to a direct engine call with a `StdRng` seeded the same
+    /// way.  Concurrent first requests for one structured workload share one
+    /// selection: the engine's plan lookup is single-flight for every plan
+    /// kind.
     pub fn answer_structured<W>(
         &self,
         workload: Arc<W>,
         x: Vec<f64>,
         seed: u64,
-    ) -> StructuredFuture<W>
+    ) -> AnswerFuture<W, StructuredAnswer>
     where
         W: StructuredWorkload + Send + Sync + ?Sized + 'static,
     {
-        self.submit_structured(workload, x, seed, None)
+        self.submit(workload, vec![x], seed, None, false, structured_one)
     }
 
     /// [`ServeEngine::answer_structured`] charged to a principal's shared
@@ -644,90 +653,133 @@ impl ServeEngine {
         workload: Arc<W>,
         x: Vec<f64>,
         seed: u64,
-    ) -> StructuredFuture<W>
+    ) -> AnswerFuture<W, StructuredAnswer>
     where
         W: StructuredWorkload + Send + Sync + ?Sized + 'static,
     {
-        self.submit_structured(workload, x, seed, Some(ledger.clone()))
+        self.submit(workload, vec![x], seed, Some(ledger), false, structured_one)
     }
 
-    /// The engine's admission gate ([`Engine::admit`]) at submit time,
-    /// before a key is derived or any work is queued: malformed input (a
-    /// data vector of the wrong length, a workload without queries) and a
-    /// spent principal budget fail fast here, counted in
-    /// [`ServeStats::rejected`].  The budget probe uses unit sensitivity
-    /// (the strategy is not selected yet); the release itself re-checks and
-    /// charges the event with the actual sensitivity, so this is an
-    /// admission filter, never the enforcement point.
-    fn admit<W: Workload + ?Sized, X: AsRef<[f64]>>(
-        &self,
-        workload: &W,
-        xs: &[X],
-        ledger: Option<&UserLedger>,
-    ) -> Result<(), ServeError> {
-        let engine = &self.inner.engine;
-        let accountant = ledger.map(UserLedger::accountant_handle);
-        engine
-            .admit(workload, xs, engine.privacy(), accountant.as_deref())
-            .map_err(|e| {
-                self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                e.into()
-            })
-    }
-
-    fn submit_structured<W>(
-        &self,
-        workload: Arc<W>,
-        x: Vec<f64>,
-        seed: u64,
-        ledger: Option<UserLedger>,
-    ) -> StructuredFuture<W>
-    where
-        W: StructuredWorkload + Send + Sync + ?Sized + 'static,
-    {
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        self.inner.structured.fetch_add(1, Ordering::Relaxed);
-        // Same admission as the dense path — but no gram is ever computed
-        // or hashed: the structured descriptor is the identity.
-        if let Err(e) = self.admit(&*workload, &[&x], ledger.as_ref()) {
-            return StructuredFuture::failed(self.inner.clone(), workload, e);
-        }
-        StructuredFuture::new(self.inner.clone(), workload, x, seed, ledger)
-    }
-
-    fn submit<W>(
+    /// Admits one request and returns its future.  In order: count it
+    /// (`submitted`, plus `structured` for a request without a plan key);
+    /// run the engine's admission gate ([`Engine::admit`]), so malformed
+    /// input (a data vector of the wrong length, a workload without
+    /// queries) and a spent principal budget fail fast before a key is
+    /// derived or any work is queued; then derive a `keyed` request's plan
+    /// key, which rejects a NaN gram.  Either failure counts in
+    /// [`ServeStats::rejected`] and resolves the future on its first poll.
+    ///
+    /// The budget probe uses unit sensitivity (the strategy is not selected
+    /// yet); the release itself re-checks and charges the event with the
+    /// actual sensitivity, so this is an admission filter, never the
+    /// enforcement point.
+    fn submit<W, T>(
         &self,
         workload: Arc<W>,
         xs: Vec<Vec<f64>>,
         seed: u64,
-        ledger: Option<UserLedger>,
-    ) -> BatchFuture<W>
+        ledger: Option<&UserLedger>,
+        keyed: bool,
+        answer: AnswerCall<W, T>,
+    ) -> AnswerFuture<W, T>
     where
         W: Workload + Send + Sync + ?Sized + 'static,
     {
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.admit(&*workload, &xs, ledger.as_ref()) {
-            return BatchFuture::failed(self.inner.clone(), workload, e);
+        if !keyed {
+            self.inner.structured.fetch_add(1, Ordering::Relaxed);
         }
-        // The fingerprint is the dedup key for waker registration; a NaN
-        // gram is rejected here, before anything is queued or charged.  It
-        // is the key the answer derives too, and a workload that memoises
-        // it (all-range, marginal) builds no gram for it here or there on a
+        let engine = &self.inner.engine;
+        let accountant = ledger.map(UserLedger::accountant_handle);
+        // The key is the dedup key for waker registration.  It is the key
+        // the answer derives too, and a workload that memoises it
+        // (all-range, marginal) builds no gram for it here or there on a
         // repeated request.  The base fingerprint is mixed through the
         // engine's plan keying so a low-rank engine's futures wait on (and
         // probe for) the same cache entry its answer path writes.
-        let fp = match workload.try_fingerprint() {
-            Ok((base, _)) => self.inner.engine.plan_fingerprint(base, workload.dim()),
-            Err(nan) => {
+        let admitted = engine
+            .admit(&*workload, &xs, engine.privacy(), accountant.as_deref())
+            .and_then(|()| {
+                if !keyed {
+                    return Ok(None);
+                }
+                let (base, _) = workload.try_fingerprint()?;
+                Ok(Some(engine.plan_fingerprint(base, workload.dim())))
+            })
+            .map_err(|e| {
                 self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                return BatchFuture::failed(
-                    self.inner.clone(),
-                    workload,
-                    MechanismError::from(nan).into(),
-                );
-            }
-        };
-        BatchFuture::new(self.inner.clone(), workload, xs, seed, ledger, fp)
+                ServeError::from(e)
+            });
+        AnswerFuture::new(
+            self.inner.clone(),
+            workload,
+            xs,
+            seed,
+            ledger.cloned(),
+            admitted,
+            answer,
+        )
+    }
+}
+
+/// The one data vector of a single-vector request.
+fn one(xs: &[Vec<f64>]) -> mm_core::Result<&[f64]> {
+    match xs {
+        [x] => Ok(x),
+        _ => Err(MechanismError::InvalidArgument(format!(
+            "a single-vector request holds {} data vectors",
+            xs.len()
+        ))),
+    }
+}
+
+/// A single dense vector: [`Engine::answer`], or [`Session::answer`] on the
+/// ledger's session.
+///
+/// [`Session::answer`]: mm_core::engine::Session::answer
+fn dense_one<W: Workload + ?Sized>(
+    engine: &Arc<Engine>,
+    workload: &W,
+    xs: &[Vec<f64>],
+    rng: &mut StdRng,
+    ledger: Option<&UserLedger>,
+) -> mm_core::Result<EngineAnswer> {
+    let x = one(xs)?;
+    match ledger {
+        Some(ledger) => engine.user_session(ledger).answer(workload, x, rng),
+        None => engine.answer(workload, x, rng),
+    }
+}
+
+/// A batch: [`Engine::answer_batch`], or the ledger session's.
+fn dense_batch<W: Workload + ?Sized>(
+    engine: &Arc<Engine>,
+    workload: &W,
+    xs: &[Vec<f64>],
+    rng: &mut StdRng,
+    ledger: Option<&UserLedger>,
+) -> mm_core::Result<Vec<EngineAnswer>> {
+    match ledger {
+        Some(ledger) => engine.user_session(ledger).answer_batch(workload, xs, rng),
+        None => engine.answer_batch(workload, xs, rng),
+    }
+}
+
+/// A structured request: [`Engine::answer_structured`], or the ledger
+/// session's.
+fn structured_one<W: StructuredWorkload + ?Sized>(
+    engine: &Arc<Engine>,
+    workload: &W,
+    xs: &[Vec<f64>],
+    rng: &mut StdRng,
+    ledger: Option<&UserLedger>,
+) -> mm_core::Result<StructuredAnswer> {
+    let x = one(xs)?;
+    match ledger {
+        Some(ledger) => engine
+            .user_session(ledger)
+            .answer_structured(workload, x, rng),
+        None => engine.answer_structured(workload, x, rng),
     }
 }
 
@@ -1082,18 +1134,79 @@ mod tests {
 
     #[test]
     fn malformed_input_is_rejected_before_queueing() {
+        fn assert_invalid<T: std::fmt::Debug>(result: Result<T, ServeError>) {
+            match result {
+                Err(ServeError::Mechanism(e)) => {
+                    assert!(matches!(&*e, MechanismError::InvalidArgument(_)), "{e}");
+                }
+                other => panic!("expected invalid-argument rejection, got {other:?}"),
+            }
+        }
+
         let engine = Arc::new(Engine::builder().build().unwrap());
         let serve = ServeEngine::builder(engine.clone()).build();
-        match block_on(serve.answer(workload(64), vec![1.0; 8], 1)) {
-            Err(ServeError::Mechanism(e)) => {
-                assert!(matches!(&*e, MechanismError::InvalidArgument(_)), "{e}");
-            }
-            other => panic!("expected invalid-argument rejection, got {other:?}"),
-        }
+        assert_invalid(block_on(serve.answer(workload(64), vec![1.0; 8], 1)));
+        // A batch holding one short vector among full ones.
+        assert_invalid(block_on(serve.answer_batch(
+            workload(64),
+            vec![data(64), vec![1.0; 8]],
+            2,
+        )));
+        let prefixes = Arc::new(mm_workload::RangeQueryWorkload::prefixes(64));
+        assert_invalid(block_on(serve.answer_structured(prefixes, vec![1.0; 8], 3)));
         let stats = serve.stats();
-        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.rejected, 3);
+        assert_eq!(stats.structured, 1);
+        assert_eq!(stats.failed, 0);
         assert_eq!(stats.selection_jobs, 0);
         assert_eq!(engine.stats().cache_misses, 0);
+    }
+
+    /// A zero deadline expires every request kind on its first poll, before
+    /// it probes the cache, founds a job or touches its ledger.
+    #[test]
+    fn a_zero_deadline_expires_every_kind_on_its_first_poll() {
+        fn assert_expired<W, T>(mut future: AnswerFuture<W, T>)
+        where
+            W: Workload + Send + Sync + ?Sized + 'static,
+            T: std::fmt::Debug,
+        {
+            let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+            match Pin::new(&mut future).poll(&mut cx) {
+                std::task::Poll::Ready(Err(ServeError::DeadlineExceeded { deadline_ms: 0 })) => {}
+                other => panic!("expected deadline expiry on the first poll, got {other:?}"),
+            }
+        }
+
+        let engine = Arc::new(Engine::builder().build().unwrap());
+        let serve = ServeEngine::builder(engine.clone()).build();
+        let ledger = UserLedger::new("erin", PrivacyBudget::new(10.0, 1e-2));
+        let zero = Duration::ZERO;
+        assert_expired(
+            serve
+                .answer_for(&ledger, workload(8), data(8), 1)
+                .deadline(zero),
+        );
+        assert_expired(
+            serve
+                .answer_batch_for(&ledger, workload(8), vec![data(8), data(8)], 2)
+                .deadline(zero),
+        );
+        let prefixes = Arc::new(mm_workload::RangeQueryWorkload::prefixes(16));
+        assert_expired(
+            serve
+                .answer_structured_for(&ledger, prefixes, data(16), 3)
+                .deadline(zero),
+        );
+        let stats = serve.stats();
+        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.deadline_expired, 3);
+        assert_eq!(stats.completed + stats.failed + stats.rejected, 0);
+        assert_eq!(stats.selection_jobs, 0);
+        assert_eq!(engine.stats().cache_misses, 0);
+        assert_eq!(ledger.spent().epsilon, 0.0);
+        assert_eq!(ledger.spent().delta, 0.0);
     }
 
     /// Every `ServeError` variant: Display round-trips its key facts,

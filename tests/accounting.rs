@@ -289,16 +289,13 @@ fn advanced_composition_wins_at_small_epsilon() {
 /// accountant degrades to sequential composition when the budget's δ is 0).
 #[test]
 fn laplace_engine_serves_pure_budgets_under_every_policy() {
-    let per_answer = PrivacyParams::pure(0.5);
-    let budget = PrivacyBudget::pure(1.0);
-    for factory in [
-        Box::new(SequentialAccounting) as Box<dyn AccountantFactory>,
-        Box::new(RdpAccounting::default()),
-    ] {
+    fn serves_two_pure_answers(factory: impl AccountantFactory + 'static) {
+        let per_answer = PrivacyParams::pure(0.5);
+        let budget = PrivacyBudget::pure(1.0);
         let engine = Engine::builder()
             .privacy(per_answer)
             .backend(LaplaceBackend)
-            .accountant_arc(std::sync::Arc::from(factory))
+            .accountant(factory)
             .build()
             .unwrap();
         let w = IdentityWorkload::new(8);
@@ -310,4 +307,6 @@ fn laplace_engine_serves_pure_budgets_under_every_policy() {
         assert!(session.answer(&w, &x, &mut rng).is_err(), "ε exhausted");
         assert_eq!(session.ledger().spent().delta, 0.0);
     }
+    serves_two_pure_answers(SequentialAccounting);
+    serves_two_pure_answers(RdpAccounting::default());
 }

@@ -17,7 +17,8 @@
 //!
 //! The seeded sweep reads `MM_CHAOS_SEED` (decimal u64, default 42) so CI
 //! can replay exact fault placements, and writes a JSON health/stats
-//! snapshot to the path in `MM_CHAOS_JSON` when set.
+//! snapshot, with the count of failed requests, to the path in
+//! `MM_CHAOS_JSON` when set, before it checks any request.
 
 use adaptive_dp::core::accounting::UserLedger;
 use adaptive_dp::core::engine::{BreakerState, Engine, PrivacyBudget};
@@ -398,27 +399,19 @@ fn seeded_chaos_sweep_preserves_answers_accounting_and_liveness() {
     let ledger = big_ledger("sweep-user");
 
     const REQUESTS: usize = 6;
-    for i in 0..REQUESTS {
-        let n = 8 + i;
-        let w = Arc::new(workload(n));
-        let answer = block_on(serve.answer_for(&ledger, w, data(n), i as u64))
-            .unwrap_or_else(|e| panic!("request {i} must resolve under seed {seed}: {e}"));
-        assert_eq!(
-            bits(&answer.answers),
-            baseline_bits(n, i as u64),
-            "request {i} must be bit-identical to fault-free under seed {seed}"
-        );
-    }
-    assert_spent_exactly(&ledger, REQUESTS as u64, per_answer);
+    let outcomes: Vec<_> = (0..REQUESTS)
+        .map(|i| {
+            let n = 8 + i;
+            let w = Arc::new(workload(n));
+            block_on(serve.answer_for(&ledger, w, data(n), i as u64))
+        })
+        .collect();
     let stats = serve.stats();
-    assert_eq!(stats.completed, REQUESTS as u64);
-    assert_eq!(stats.failed, 0);
     let health = serve.health();
-    assert_eq!(health.queue_depth, 0, "sweep fully drained");
-    assert_eq!(health.pending_selections, 0);
 
     // Export the snapshot for the CI chaos artifact (hand-rolled JSON: the
-    // workspace takes no serialization dependency).
+    // workspace takes no serialization dependency) before any assertion, so
+    // a failing seed keeps the snapshot that explains it.
     if let Ok(path) = std::env::var("MM_CHAOS_JSON") {
         let engine_stats = engine.stats();
         let store = health.store;
@@ -427,6 +420,7 @@ fn seeded_chaos_sweep_preserves_answers_accounting_and_liveness() {
                 "{{\n",
                 "  \"seed\": {},\n",
                 "  \"requests\": {},\n",
+                "  \"failed_requests\": {},\n",
                 "  \"serve\": {{\"submitted\": {}, \"completed\": {}, \"failed\": {}, ",
                 "\"shed\": {}, \"rejected\": {}, \"deadline_expired\": {}, ",
                 "\"jobs_expired\": {}, \"poisoned_flights\": {}}},\n",
@@ -439,6 +433,7 @@ fn seeded_chaos_sweep_preserves_answers_accounting_and_liveness() {
             ),
             seed,
             REQUESTS,
+            outcomes.iter().filter(|o| o.is_err()).count(),
             stats.submitted,
             stats.completed,
             stats.failed,
@@ -459,6 +454,22 @@ fn seeded_chaos_sweep_preserves_answers_accounting_and_liveness() {
         );
         std::fs::write(&path, json).expect("write chaos snapshot");
     }
+
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        let n = 8 + i;
+        let answer =
+            outcome.unwrap_or_else(|e| panic!("request {i} must resolve under seed {seed}: {e}"));
+        assert_eq!(
+            bits(&answer.answers),
+            baseline_bits(n, i as u64),
+            "request {i} must be bit-identical to fault-free under seed {seed}"
+        );
+    }
+    assert_spent_exactly(&ledger, REQUESTS as u64, per_answer);
+    assert_eq!(stats.completed, REQUESTS as u64);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(health.queue_depth, 0, "sweep fully drained");
+    assert_eq!(health.pending_selections, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
