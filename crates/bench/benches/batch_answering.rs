@@ -20,8 +20,8 @@
 //! `MM_BENCH_JSON` and `MM_BENCH_GATE` are those of every bench
 //! ([`BenchEnv`]); the gate is [`batch_gates`].
 
-use criterion::{black_box, Criterion};
 use mm_bench::report::{batch_gates, BenchEnv, BenchRecord, BenchReport};
+use mm_bench::runs::min_ns;
 use mm_core::engine::{Engine, FixedStrategySelector};
 use mm_core::PrivacyParams;
 use mm_linalg::decomp::Cholesky;
@@ -31,6 +31,7 @@ use mm_strategies::Strategy;
 use mm_workload::IdentityWorkload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 
 struct Config {
     quick: bool,
@@ -68,32 +69,33 @@ fn data_matrix(n: usize, k: usize) -> Matrix {
     Matrix::from_fn(n, k, |i, c| 50.0 + ((i * 13 + c * 31) % 97) as f64)
 }
 
-fn bench_matmul(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
+fn bench_matmul(report: &mut BenchReport, cfg: &Config, n: usize) {
     let a = attribute_basis(n);
-    let mut group = c.benchmark_group(format!("batch_matmul/n={n}"));
-    group.sample_size(cfg.samples(n));
+    let samples = cfg.samples(n);
     for &k in &cfg.ks {
         let x = data_matrix(n, k);
         let cols: Vec<Vec<f64>> = (0..k).map(|c| x.col(c)).collect();
-        let batched = group.bench_function_stats(format!("batched/K={k}"), |b| {
-            b.iter(|| black_box(ops::matmul(&a, &x).unwrap()))
-        });
-        let baseline = group.bench_function_stats(format!("per-vector/K={k}"), |b| {
-            b.iter(|| {
+        let batched = min_ns(
+            &format!("batch_matmul/n={n}/batched/K={k}"),
+            samples,
+            || ops::matmul(&a, &x).unwrap(),
+        );
+        let baseline = min_ns(
+            &format!("batch_matmul/n={n}/per-vector/K={k}"),
+            samples,
+            || {
                 for col in &cols {
                     black_box(a.matvec(col).unwrap());
                 }
-            })
-        });
+            },
+        );
         report.records.push(
-            BenchRecord::new("matmul", &[("n", n), ("k", k)], batched.min_ns())
-                .with_baseline(baseline.min_ns()),
+            BenchRecord::new("matmul", &[("n", n), ("k", k)], batched).with_baseline(baseline),
         );
     }
-    group.finish();
 }
 
-fn bench_solve_multi(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
+fn bench_solve_multi(report: &mut BenchReport, cfg: &Config, n: usize) {
     // A dense, well-conditioned SPD system: gram of a dense matrix plus a
     // strong diagonal, so the factor L has no zero entries to skip.
     let b = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 11) % 19) as f64 / 19.0 - 0.5);
@@ -102,33 +104,27 @@ fn bench_solve_multi(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, 
         g[(i, i)] += n as f64 / 8.0;
     }
     let ch = Cholesky::new(&g).expect("regularised gram is SPD");
-    let mut group = c.benchmark_group(format!("batch_solve_multi/n={n}"));
-    group.sample_size(cfg.samples(n));
+    let group = format!("batch_solve_multi/n={n}");
+    let samples = cfg.samples(n);
     for &k in &cfg.ks {
         let x = data_matrix(n, k);
         let cols: Vec<Vec<f64>> = (0..k).map(|c| x.col(c)).collect();
-        let batched = group.bench_function_stats(format!("batched/K={k}"), |b| {
-            b.iter(|| {
-                let y = ch.solve_lower_multi(&x).unwrap();
-                black_box(ch.solve_upper_multi(&y).unwrap())
-            })
+        let batched = min_ns(&format!("{group}/batched/K={k}"), samples, || {
+            let y = ch.solve_lower_multi(&x).unwrap();
+            ch.solve_upper_multi(&y).unwrap()
         });
-        let baseline = group.bench_function_stats(format!("per-vector/K={k}"), |b| {
-            b.iter(|| {
-                for col in &cols {
-                    black_box(ch.solve_vec(col).unwrap());
-                }
-            })
+        let baseline = min_ns(&format!("{group}/per-vector/K={k}"), samples, || {
+            for col in &cols {
+                black_box(ch.solve_vec(col).unwrap());
+            }
         });
         report.records.push(
-            BenchRecord::new("solve_multi", &[("n", n), ("k", k)], batched.min_ns())
-                .with_baseline(baseline.min_ns()),
+            BenchRecord::new("solve_multi", &[("n", n), ("k", k)], batched).with_baseline(baseline),
         );
     }
-    group.finish();
 }
 
-fn bench_engine(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
+fn bench_engine(report: &mut BenchReport, cfg: &Config, n: usize) {
     // A dense orthonormal strategy behind a fixed selector: selection is
     // free, so the timings isolate the answering pipeline the batch path
     // vectorises (cache lookup, A·X, noise, AᵀY, triangular solves).
@@ -144,44 +140,36 @@ fn bench_engine(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: us
     engine
         .answer(&workload, &warm, &mut warm_rng)
         .expect("warm-up answer");
-    let mut group = c.benchmark_group(format!("batch_engine/n={n}"));
-    group.sample_size(cfg.samples(n));
+    let group = format!("batch_engine/n={n}");
+    let samples = cfg.samples(n);
     for &k in &cfg.ks {
         let x = data_matrix(n, k);
         let cols: Vec<Vec<f64>> = (0..k).map(|c| x.col(c)).collect();
         let mut rng = StdRng::seed_from_u64(2);
-        let batched = group.bench_function_stats(format!("batched/K={k}"), |b| {
-            b.iter(|| black_box(engine.answer_batch(&workload, &cols, &mut rng).unwrap()))
+        let batched = min_ns(&format!("{group}/batched/K={k}"), samples, || {
+            engine.answer_batch(&workload, &cols, &mut rng).unwrap()
         });
         let mut rng = StdRng::seed_from_u64(2);
-        let baseline = group.bench_function_stats(format!("per-vector/K={k}"), |b| {
-            b.iter(|| {
-                for col in &cols {
-                    black_box(engine.answer(&workload, col, &mut rng).unwrap());
-                }
-            })
+        let baseline = min_ns(&format!("{group}/per-vector/K={k}"), samples, || {
+            for col in &cols {
+                black_box(engine.answer(&workload, col, &mut rng).unwrap());
+            }
         });
         report.records.push(
-            BenchRecord::new(
-                "engine_answer_batch",
-                &[("n", n), ("k", k)],
-                batched.min_ns(),
-            )
-            .with_baseline(baseline.min_ns()),
+            BenchRecord::new("engine_answer_batch", &[("n", n), ("k", k)], batched)
+                .with_baseline(baseline),
         );
     }
-    group.finish();
 }
 
 fn main() {
     let env = BenchEnv::read();
     let cfg = Config::new(env.quick);
-    let mut criterion = Criterion::default();
     let mut report = BenchReport::new("batch", cfg.quick);
     for &n in &cfg.ns {
-        bench_matmul(&mut criterion, &mut report, &cfg, n);
-        bench_solve_multi(&mut criterion, &mut report, &cfg, n);
-        bench_engine(&mut criterion, &mut report, &cfg, n);
+        bench_matmul(&mut report, &cfg, n);
+        bench_solve_multi(&mut report, &cfg, n);
+        bench_engine(&mut report, &cfg, n);
     }
     env.emit(&report, batch_gates);
 }

@@ -30,8 +30,8 @@
 //! `MM_BENCH_JSON` and `MM_BENCH_GATE` are those of every bench
 //! ([`BenchEnv`]); the gate is [`large_domain_gates`].
 
-use criterion::{black_box, Criterion};
 use mm_bench::report::{large_domain_gates, BenchEnv, BenchRecord, BenchReport};
+use mm_bench::runs::min_ns;
 use mm_core::engine::{Engine, StructuredSelector, TreeStructuredSelector};
 use mm_core::PrivacyParams;
 use mm_linalg::{ExplicitOperator, LinearOperator};
@@ -89,19 +89,19 @@ fn data(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn bench_domain(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
+fn bench_domain(report: &mut BenchReport, cfg: &Config, n: usize) {
     let m = n.min(1024);
     let workload = RangeQueryWorkload::from_intervals(n, intervals(n, m));
     let descriptor = workload.descriptor();
     let x = data(n);
-    let mut group = c.benchmark_group(format!("large_domain/n={n}"));
-    group.sample_size(cfg.samples(n));
+    let group = format!("large_domain/n={n}");
+    let samples = cfg.samples(n);
 
     // Structured: cold selection is stateless and O(n); answering runs on a
     // warm engine so the timing is the per-request serving cost.
     let selector = TreeStructuredSelector::default();
-    let select = group.bench_function_stats("structured/select", |b| {
-        b.iter(|| black_box(selector.select(&descriptor).unwrap()))
+    let select = min_ns(&format!("{group}/structured/select"), samples, || {
+        selector.select(&descriptor).unwrap()
     });
     let engine = Engine::builder()
         .privacy(PrivacyParams::paper_default())
@@ -111,16 +111,12 @@ fn bench_domain(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: us
         .select_structured(&descriptor)
         .expect("structured selection succeeds");
     let mut rng = StdRng::seed_from_u64(0x4C44 ^ n as u64);
-    let answer = group.bench_function_stats("structured/answer", |b| {
-        b.iter(|| black_box(engine.answer_structured(&workload, &x, &mut rng).unwrap()))
+    let answer = min_ns(&format!("{group}/structured/answer"), samples, || {
+        engine.answer_structured(&workload, &x, &mut rng).unwrap()
     });
-    let record = BenchRecord::new(
-        "structured",
-        &[("n", n), ("queries", m)],
-        select.min_ns() + answer.min_ns(),
-    )
-    .with_detail("select", select.min_ns())
-    .with_detail("answer", answer.min_ns());
+    let record = BenchRecord::new("structured", &[("n", n), ("queries", m)], select + answer)
+        .with_detail("select", select)
+        .with_detail("answer", answer);
 
     // Dense baseline: materialise the same strategy operator, observe with
     // the same noise calibration, reconstruct by CG over dense matvecs and
@@ -128,16 +124,12 @@ fn bench_domain(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: us
     // cap it cannot run.
     let op = strategy.operator().clone();
     if op.materialize().is_none() {
-        println!(
-            "large_domain/n={n}/dense: skipped (operator above the \
-             materialisation cap)"
-        );
+        println!("{group}/dense: skipped (operator above the materialisation cap)");
         report.records.push(record);
-        group.finish();
         return;
     }
-    let densify = group.bench_function_stats("dense/materialize", |b| {
-        b.iter(|| black_box(op.materialize().unwrap()))
+    let densify = min_ns(&format!("{group}/dense/materialize"), samples, || {
+        op.materialize().unwrap()
     });
     let dense = ExplicitOperator::new(op.materialize().expect("within the cap"));
     let wop = workload.operator();
@@ -148,32 +140,26 @@ fn bench_domain(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: us
     let rows = op.dims().0;
     let opts = CgOptions::default();
     let mut rng = StdRng::seed_from_u64(0x4C44 ^ n as u64);
-    let answer = group.bench_function_stats("dense/answer", |b| {
-        b.iter(|| {
-            let mut y = dense.apply(&x);
-            let noise = engine.backend().sample(&mut rng, scale, rows);
-            for (v, nz) in y.iter_mut().zip(noise.iter()) {
-                *v += *nz;
-            }
-            let estimate =
-                cg_normal_equations(|v| dense.apply(v), |w| dense.apply_transpose(w), &y, &opts)
-                    .expect("dense CG converges");
-            black_box(wop.apply(&estimate))
-        })
+    let answer = min_ns(&format!("{group}/dense/answer"), samples, || {
+        let mut y = dense.apply(&x);
+        let noise = engine.backend().sample(&mut rng, scale, rows);
+        for (v, nz) in y.iter_mut().zip(noise.iter()) {
+            *v += *nz;
+        }
+        let estimate =
+            cg_normal_equations(|v| dense.apply(v), |w| dense.apply_transpose(w), &y, &opts)
+                .expect("dense CG converges");
+        wop.apply(&estimate)
     });
-    report
-        .records
-        .push(record.with_baseline(densify.min_ns() + answer.min_ns()));
-    group.finish();
+    report.records.push(record.with_baseline(densify + answer));
 }
 
 fn main() {
     let env = BenchEnv::read();
     let cfg = Config::new(env.quick);
-    let mut criterion = Criterion::default();
     let mut report = BenchReport::new("large_domain", cfg.quick);
     for &n in &cfg.ns {
-        bench_domain(&mut criterion, &mut report, &cfg, n);
+        bench_domain(&mut report, &cfg, n);
     }
     env.emit(&report, large_domain_gates);
 }

@@ -38,9 +38,8 @@
 //! `MM_BENCH_JSON` and `MM_BENCH_GATE` are those of every bench
 //! ([`BenchEnv`]); the gate is [`selection_gates`].
 
-use criterion::{black_box, Criterion};
 use mm_bench::report::{selection_gates, BenchEnv, BenchRecord, BenchReport};
-use mm_bench::runs::timed;
+use mm_bench::runs::{min_ns, timed};
 use mm_core::design_set::{weighted_design_strategy_with_costs, DesignWeightingOptions};
 use mm_core::engine::{DesignSetSelector, Engine};
 use mm_core::{eigen_design, EigenDesignOptions, PrivacyParams};
@@ -160,53 +159,50 @@ fn blocked_miss_path(gram: &Matrix) -> f64 {
         .expect("gram dimension matches")
 }
 
-fn bench_kernels(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
+fn bench_kernels(report: &mut BenchReport, cfg: &Config, n: usize) {
     let spd = spd_gram(n);
     let workload_gram = AllRangeWorkload::new(Domain::one_dim(n)).gram();
-    let mut group = c.benchmark_group(format!("selection_kernels/n={n}"));
-    group.sample_size(cfg.samples(n));
-    let blocked = group.bench_function_stats("cholesky/blocked", |b| {
-        b.iter(|| black_box(Cholesky::new(&spd).unwrap()))
+    let group = format!("selection_kernels/n={n}");
+    let samples = cfg.samples(n);
+    let blocked = min_ns(&format!("{group}/cholesky/blocked"), samples, || {
+        Cholesky::new(&spd).unwrap()
     });
-    let scalar = group.bench_function_stats("cholesky/scalar", |b| {
-        b.iter(|| black_box(Cholesky::new_scalar(&spd).unwrap()))
-    });
-    report.records.push(
-        BenchRecord::new("cholesky", &[("n", n)], blocked.min_ns()).with_baseline(scalar.min_ns()),
-    );
-    let fast = group.bench_function_stats("eigen/blocked", |b| {
-        b.iter(|| black_box(SymmetricEigen::new(&workload_gram).unwrap()))
-    });
-    let scalar = group.bench_function_stats("eigen/scalar", |b| {
-        b.iter(|| black_box(SymmetricEigen::new_scalar(&workload_gram).unwrap()))
+    let scalar = min_ns(&format!("{group}/cholesky/scalar"), samples, || {
+        Cholesky::new_scalar(&spd).unwrap()
     });
     report
         .records
-        .push(BenchRecord::new("eigen", &[("n", n)], fast.min_ns()).with_baseline(scalar.min_ns()));
-    group.finish();
+        .push(BenchRecord::new("cholesky", &[("n", n)], blocked).with_baseline(scalar));
+    let fast = min_ns(&format!("{group}/eigen/blocked"), samples, || {
+        SymmetricEigen::new(&workload_gram).unwrap()
+    });
+    let scalar = min_ns(&format!("{group}/eigen/scalar"), samples, || {
+        SymmetricEigen::new_scalar(&workload_gram).unwrap()
+    });
+    report
+        .records
+        .push(BenchRecord::new("eigen", &[("n", n)], fast).with_baseline(scalar));
 }
 
-fn bench_miss_path(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
+fn bench_miss_path(report: &mut BenchReport, cfg: &Config, n: usize) {
     let gram = AllRangeWorkload::new(Domain::one_dim(n)).gram();
-    let mut group = c.benchmark_group(format!("selection_miss/n={n}"));
-    group.sample_size(cfg.samples(n));
-    let optimized = group.bench_function_stats("eigen_design/blocked", |b| {
-        b.iter(|| black_box(blocked_miss_path(&gram)))
+    let group = format!("selection_miss/n={n}");
+    let samples = cfg.samples(n);
+    let optimized = min_ns(&format!("{group}/eigen_design/blocked"), samples, || {
+        blocked_miss_path(&gram)
     });
-    let baseline = group.bench_function_stats("eigen_design/scalar", |b| {
-        b.iter(|| black_box(scalar_miss_path(&gram)))
+    let baseline = min_ns(&format!("{group}/eigen_design/scalar"), samples, || {
+        scalar_miss_path(&gram)
     });
     report.records.push(
-        BenchRecord::new("selection_eigen_design", &[("n", n)], optimized.min_ns())
-            .with_baseline(baseline.min_ns()),
+        BenchRecord::new("selection_eigen_design", &[("n", n)], optimized).with_baseline(baseline),
     );
-    group.finish();
 }
 
-fn bench_miss_vs_hit(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, n: usize) {
+fn bench_miss_vs_hit(report: &mut BenchReport, cfg: &Config, n: usize) {
     let workload = AllRangeWorkload::new(Domain::one_dim(n));
-    let mut group = c.benchmark_group(format!("selection_cache/n={n}"));
-    group.sample_size(cfg.samples(n));
+    let group = format!("selection_cache/n={n}");
+    let samples = cfg.samples(n);
     let engines = [
         (
             "selection_eigen_design_hit",
@@ -234,19 +230,17 @@ fn bench_miss_vs_hit(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, 
     ];
     for (scenario, engine) in engines {
         let label = engine.selector().name();
-        let miss = group.bench_function_stats(format!("{label}/miss"), |b| {
-            b.iter(|| {
-                engine.clear_cache();
-                black_box(engine.select(&workload).unwrap())
-            })
+        let miss = min_ns(&format!("{group}/{label}/miss"), samples, || {
+            engine.clear_cache();
+            engine.select(&workload).unwrap()
         });
         engine.select(&workload).expect("warm the cache");
-        let hit = group.bench_function_stats(format!("{label}/hit"), |b| {
-            b.iter(|| black_box(engine.select(&workload).unwrap()))
+        let hit = min_ns(&format!("{group}/{label}/hit"), samples, || {
+            engine.select(&workload).unwrap()
         });
-        report.records.push(
-            BenchRecord::new(scenario, &[("n", n)], hit.min_ns()).with_baseline(miss.min_ns()),
-        );
+        report
+            .records
+            .push(BenchRecord::new(scenario, &[("n", n)], hit).with_baseline(miss));
     }
     // The workload-rows design set needs the explicit query matrix, so it
     // runs on the n-row prefix workload instead of the O(n²)-row all-range
@@ -258,21 +252,17 @@ fn bench_miss_vs_hit(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, 
         .build()
         .expect("workload-rows engine builds");
     let label = engine.selector().name();
-    let miss = group.bench_function_stats(format!("{label}/miss"), |b| {
-        b.iter(|| {
-            engine.clear_cache();
-            black_box(engine.select(&prefixes).unwrap())
-        })
+    let miss = min_ns(&format!("{group}/{label}/miss"), samples, || {
+        engine.clear_cache();
+        engine.select(&prefixes).unwrap()
     });
     engine.select(&prefixes).expect("warm the cache");
-    let hit = group.bench_function_stats(format!("{label}/hit"), |b| {
-        b.iter(|| black_box(engine.select(&prefixes).unwrap()))
+    let hit = min_ns(&format!("{group}/{label}/hit"), samples, || {
+        engine.select(&prefixes).unwrap()
     });
     report.records.push(
-        BenchRecord::new("selection_workload_rows_hit", &[("n", n)], hit.min_ns())
-            .with_baseline(miss.min_ns()),
+        BenchRecord::new("selection_workload_rows_hit", &[("n", n)], hit).with_baseline(miss),
     );
-    group.finish();
 }
 
 /// The Low-Rank Mechanism's cold miss against the full dense cold miss, on
@@ -281,16 +271,10 @@ fn bench_miss_vs_hit(c: &mut Criterion, report: &mut BenchReport, cfg: &Config, 
 /// it is measured with one timed call instead of the sampling loop — at
 /// that scale a single sample is exact to within noise far smaller than the
 /// orders-of-magnitude gap being recorded.
-fn bench_low_rank(
-    c: &mut Criterion,
-    report: &mut BenchReport,
-    cfg: &Config,
-    n: usize,
-    ranks: &[usize],
-) {
+fn bench_low_rank(report: &mut BenchReport, cfg: &Config, n: usize, ranks: &[usize]) {
     let workload = AllRangeWorkload::new(Domain::one_dim(n));
-    let mut group = c.benchmark_group(format!("selection_low_rank/n={n}"));
-    group.sample_size(if n >= 4096 { 1 } else { cfg.samples(n) });
+    let group = format!("selection_low_rank/n={n}");
+    let samples = if n >= 4096 { 1 } else { cfg.samples(n) };
 
     let dense_engine = Engine::builder()
         .privacy(PrivacyParams::paper_default())
@@ -298,17 +282,14 @@ fn bench_low_rank(
         .expect("dense engine builds");
     let dense_ns = if n >= 4096 {
         let (_, secs) = timed(|| dense_engine.select(&workload).expect("dense selection"));
-        println!("selection_low_rank/n={n}/dense/miss             time: [{secs:.3} s]  (1 sample)");
+        let name = format!("{group}/dense/miss");
+        println!("{name:<48} min {:>12.4} ms  (1 sample)", secs * 1e3);
         secs * 1e9
     } else {
-        group
-            .bench_function_stats("dense/miss", |b| {
-                b.iter(|| {
-                    dense_engine.clear_cache();
-                    black_box(dense_engine.select(&workload).unwrap())
-                })
-            })
-            .min_ns()
+        min_ns(&format!("{group}/dense/miss"), samples, || {
+            dense_engine.clear_cache();
+            dense_engine.select(&workload).unwrap()
+        })
     };
 
     for &r in ranks {
@@ -317,32 +298,28 @@ fn bench_low_rank(
             .low_rank(r)
             .build()
             .expect("low-rank engine builds");
-        let stats = group.bench_function_stats(format!("r={r}/miss"), |b| {
-            b.iter(|| {
-                engine.clear_cache();
-                black_box(engine.select(&workload).unwrap())
-            })
+        let miss = min_ns(&format!("{group}/r={r}/miss"), samples, || {
+            engine.clear_cache();
+            engine.select(&workload).unwrap()
         });
         report.records.push(
-            BenchRecord::new("selection_low_rank", &[("n", n), ("r", r)], stats.min_ns())
+            BenchRecord::new("selection_low_rank", &[("n", n), ("r", r)], miss)
                 .with_baseline(dense_ns),
         );
     }
-    group.finish();
 }
 
 fn main() {
     let env = BenchEnv::read();
     let cfg = Config::new(env.quick);
-    let mut criterion = Criterion::default();
     let mut report = BenchReport::new("selection", cfg.quick);
     for &n in &cfg.ns {
-        bench_kernels(&mut criterion, &mut report, &cfg, n);
-        bench_miss_path(&mut criterion, &mut report, &cfg, n);
-        bench_miss_vs_hit(&mut criterion, &mut report, &cfg, n);
+        bench_kernels(&mut report, &cfg, n);
+        bench_miss_path(&mut report, &cfg, n);
+        bench_miss_vs_hit(&mut report, &cfg, n);
     }
     for (n, ranks) in &cfg.low_rank {
-        bench_low_rank(&mut criterion, &mut report, &cfg, *n, ranks);
+        bench_low_rank(&mut report, &cfg, *n, ranks);
     }
     env.emit(&report, selection_gates);
 }

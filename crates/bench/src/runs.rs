@@ -48,6 +48,27 @@ pub fn timed<T, F: FnOnce() -> T>(f: F) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
+/// The benches' sampler: one untimed warm-up call of `routine`, then
+/// `samples` timed calls (at least one), each result passed through
+/// [`std::hint::black_box`].  Prints the fastest call under `name` and
+/// returns it in nanoseconds, the least noisy per-call figure for a coarse
+/// gate.
+pub fn min_ns<T>(name: &str, samples: usize, mut routine: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(routine());
+    let samples = samples.max(1);
+    let fastest = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(routine());
+            start.elapsed()
+        })
+        .min()
+        .unwrap_or_default();
+    let ms = fastest.as_secs_f64() * 1e3;
+    println!("{name:<48} min {ms:>12.4} ms  ({samples} samples)");
+    fastest.as_nanos() as f64
+}
+
 /// A named strategy (or a reason it is not applicable) for comparison rows.
 pub struct Method {
     /// Display name ("Wavelet", "Eigen Design", …).

@@ -1,13 +1,14 @@
 //! Circuit breaker for the persistent strategy store.
 //!
 //! A broken disk must cost latency once, not on every request.  The engine
-//! routes every store save through a [`StoreBreaker`]; after
-//! `threshold` *consecutive* persistence failures the breaker **opens** and
+//! records every persist on a [`StoreBreaker`], once: a persist is one save
+//! with its bounded retries, and it fails only when every attempt has.
+//! After `threshold` *consecutive* failed persists the breaker **opens** and
 //! the engine degrades to memory-only caching — no store loads or saves are
 //! attempted — for a cool-down period.  After the cool-down the breaker
-//! goes **half-open**: store traffic is allowed again as a probe, and the
-//! first outcome decides — a success closes the breaker, a failure re-opens
-//! it for another full cool-down.
+//! goes **half-open**: store traffic is allowed again, and the next
+//! persist is the probe whose outcome decides — a success closes the
+//! breaker, a failure re-opens it for another full cool-down.
 //!
 //! ```text
 //!            failure (consecutive == threshold)
@@ -192,13 +193,14 @@ pub struct StoreHealth {
     /// engine without a configured store is permanently closed and never
     /// records outcomes).
     pub breaker: BreakerState,
-    /// Consecutive persistence failures since the last success.
+    /// Consecutive failed persists since the last success.
     pub consecutive_failures: u32,
     /// Corrupt store entries silently dropped (deleted and recomputed)
     /// since the store was opened.
     pub corrupt_dropped: u64,
     /// Store save attempts that failed since the engine was built (each
-    /// attempt of a bounded-retry save counts).
+    /// attempt of a bounded-retry save counts, where `consecutive_failures`
+    /// counts failed persists).
     pub save_failures: u64,
 }
 

@@ -18,12 +18,16 @@
 //!   uniformly).  Lookups on different workloads never contend on one global
 //!   lock; the per-shard critical sections are a hash-map probe plus a
 //!   recency-stamp update.
-//! * **Single-flight selection.** When several threads miss on the *same*
-//!   fingerprint concurrently, exactly one (the *leader*, handed a
-//!   [`SelectionGuard`]) runs the O(n³) selector; the others block on the
-//!   flight and receive the leader's published entry.  If the leader fails
-//!   (error or panic), waiters wake and race to become the next leader, so an
-//!   error is returned per caller and never cached.
+//! * **Single-flight selection.** Every miss on one fingerprint meets one
+//!   [`Flight`] (`Pending` with the wakers of async waiters, `Done` or
+//!   `Poisoned`), and exactly one caller, the *leader* handed a
+//!   [`SelectionGuard`], runs the O(n³) selector.  A thread
+//!   ([`StrategyCache::begin`]) leads a new flight, or one that an async
+//!   request founded and no thread leads yet, or blocks until the leader
+//!   publishes.  An async request ([`StrategyCache::join`]) never blocks: it
+//!   waits with a waker ([`Flight::poll`]), or founds a flight for a queued
+//!   job to lead.  A failed flight hands every waiter one [`FlightPoison`];
+//!   threads race to lead a retry, so errors are never cached.
 //!
 //! # Eviction
 //!
@@ -42,13 +46,16 @@
 //! [`EngineBuilder`](crate::engine::EngineBuilder) knobs).
 
 use super::plan::SelectionPlan;
+use crate::MechanismError;
 use mm_linalg::decomp::Cholesky;
 use mm_linalg::ops::RowSpans;
 use mm_linalg::Matrix;
 use mm_strategies::Strategy;
 use mm_workload::Fingerprint;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::task::{Poll, Waker};
 
 /// Default number of independently locked cache shards.
 pub const DEFAULT_SHARD_COUNT: usize = 8;
@@ -154,45 +161,75 @@ impl CachedSelection {
     }
 }
 
-/// Why a single-flight selection leader failed to publish an entry.
+/// Why a [`Flight`] resolved without an entry, for threads and async
+/// waiters alike.
 ///
-/// Waiters that observed a poisoned flight race to become the next leader;
-/// the winning retry's [`Lookup::Miss`] guard carries the poison (see
-/// [`SelectionGuard::recovered_poison`]) so callers can report *why* the
-/// previous attempt died instead of retrying blind.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A thread that observed a poisoned flight races to become the next
+/// leader, whose guard carries the poison
+/// ([`SelectionGuard::recovered_poison`]).  An async waiter founds a new
+/// flight on [`FlightPoison::Unled`] and fails with
+/// [`FlightPoison::into_error`] on the others.
+#[derive(Debug, Clone, PartialEq)]
 pub enum FlightPoison {
-    /// The leader's selector returned an error (the message is the error's
-    /// display form; the typed error was returned to the leader itself).
-    Error(String),
-    /// The leader was torn down without reporting an error — it panicked, or
-    /// its guard was dropped without publishing.
+    /// The leader's selector returned this error.
+    Error(MechanismError),
+    /// The leader's selection panicked with this message.
+    Panicked(String),
+    /// The leader's guard was dropped without publishing or failing.
     Abandoned,
+    /// No thread led the flight: the async request that founded it was shed,
+    /// or expired before its selection job ran.
+    Unled,
+}
+
+impl FlightPoison {
+    /// The error of a waiter that does not retry: the selector's own, or a
+    /// [`MechanismError::PoisonedSelection`] naming the panic or the poison.
+    pub fn into_error(self) -> MechanismError {
+        match self {
+            FlightPoison::Error(e) => e,
+            FlightPoison::Panicked(msg) => MechanismError::PoisonedSelection(msg),
+            other => MechanismError::PoisonedSelection(other.to_string()),
+        }
+    }
 }
 
 impl std::fmt::Display for FlightPoison {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FlightPoison::Error(msg) => write!(f, "selection leader failed: {msg}"),
+            FlightPoison::Error(e) => write!(f, "selection leader failed: {e}"),
+            FlightPoison::Panicked(msg) => write!(f, "selection leader panicked: {msg}"),
             FlightPoison::Abandoned => {
                 write!(f, "selection leader panicked or abandoned the flight")
             }
+            FlightPoison::Unled => write!(
+                f,
+                "no thread led the selection: its founding request was shed or expired"
+            ),
         }
     }
 }
 
-/// One in-flight selection: waiters block on the condvar until the leader
-/// publishes an entry (`Done`) or gives up (`Poisoned`, upon which waiters
-/// wake with the poison and race to become the next leader).
+/// One in-flight selection (see the module docs): threads block on its
+/// condvar, async requests register wakers with [`Flight::poll`], and both
+/// wake once, when it resolves.
+///
+/// Lock poisoning is *recovered* throughout this module
+/// (`unwrap_or_else(PoisonError::into_inner)`): flight state and shard maps
+/// are only ever written whole, so a panicking leader leaves no torn data,
+/// and the flight machinery itself turns that panic into a [`FlightPoison`]
+/// for every waiter.  Panicking on the poison flag instead would take down
+/// every thread that ever touches the same shard.
 #[derive(Debug)]
-struct Flight {
+pub struct Flight {
     state: Mutex<FlightState>,
     cv: Condvar,
 }
 
 #[derive(Debug)]
 enum FlightState {
-    Pending,
+    /// Unresolved; holds the wakers of the async requests waiting on it.
+    Pending(Vec<Waker>),
     Done(Arc<SelectionPlan>),
     Poisoned(FlightPoison),
 }
@@ -200,25 +237,21 @@ enum FlightState {
 impl Flight {
     fn new() -> Arc<Self> {
         Arc::new(Flight {
-            state: Mutex::new(FlightState::Pending),
+            state: Mutex::new(FlightState::Pending(Vec::new())),
             cv: Condvar::new(),
         })
     }
 
-    /// Blocks until the flight resolves; `Err` carries why the leader failed.
-    ///
-    /// Lock poisoning is *recovered* throughout this module
-    /// (`unwrap_or_else(PoisonError::into_inner)`): flight state and shard
-    /// maps are only ever written whole, so a panicking leader leaves no
-    /// torn data — and the flight machinery itself converts that panic into
-    /// [`FlightPoison::Abandoned`] for every waiter.  Panicking on the
-    /// poison flag instead would take down every thread that ever touches
-    /// the same shard.
+    fn state(&self) -> MutexGuard<'_, FlightState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until the flight resolves; `Err` carries why it failed.
     fn wait(&self) -> Result<Arc<SelectionPlan>, FlightPoison> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state();
         loop {
             match &*state {
-                FlightState::Pending => {
+                FlightState::Pending(_) => {
                     state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner)
                 }
                 FlightState::Done(entry) => return Ok(entry.clone()),
@@ -227,13 +260,40 @@ impl Flight {
         }
     }
 
+    /// The flight's outcome once it has resolved; until then registers
+    /// `waker` (once per task) to be woken when it does.
+    pub fn poll(&self, waker: &Waker) -> Poll<Result<Arc<SelectionPlan>, FlightPoison>> {
+        match &mut *self.state() {
+            FlightState::Pending(wakers) => {
+                if !wakers.iter().any(|w| w.will_wake(waker)) {
+                    wakers.push(waker.clone());
+                }
+                Poll::Pending
+            }
+            FlightState::Done(entry) => Poll::Ready(Ok(entry.clone())),
+            FlightState::Poisoned(poison) => Poll::Ready(Err(poison.clone())),
+        }
+    }
+
+    /// Resolves a pending flight and wakes every waiter once, the wakers
+    /// after the lock is released.
     fn resolve(&self, outcome: Result<Arc<SelectionPlan>, FlightPoison>) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *state = match outcome {
-            Ok(entry) => FlightState::Done(entry),
-            Err(poison) => FlightState::Poisoned(poison),
+        let wakers = {
+            let mut state = self.state();
+            let FlightState::Pending(wakers) = &mut *state else {
+                return;
+            };
+            let wakers = std::mem::take(wakers);
+            *state = match outcome {
+                Ok(entry) => FlightState::Done(entry),
+                Err(poison) => FlightState::Poisoned(poison),
+            };
+            wakers
         };
         self.cv.notify_all();
+        for waker in wakers {
+            waker.wake();
+        }
     }
 }
 
@@ -244,10 +304,17 @@ struct CacheEntry {
     last_used: u64,
 }
 
+/// A flight in progress, and whether a thread leads it yet.
+#[derive(Debug)]
+struct InFlight {
+    flight: Arc<Flight>,
+    led: bool,
+}
+
 #[derive(Debug, Default)]
 struct ShardInner {
     map: HashMap<Fingerprint, CacheEntry>,
-    in_flight: HashMap<Fingerprint, Arc<Flight>>,
+    in_flight: HashMap<Fingerprint, InFlight>,
     tick: u64,
 }
 
@@ -310,6 +377,26 @@ struct Shard {
     inner: Mutex<ShardInner>,
 }
 
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, ShardInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Outcome of [`StrategyCache::join`].
+#[derive(Debug)]
+pub enum Join {
+    /// Nothing to wait for: the entry is cached, or caching is disabled and
+    /// the answer path selects inline.
+    Ready,
+    /// A selection is in flight: wait on it with [`Flight::poll`].
+    Waiting(Arc<Flight>),
+    /// This call founded the flight, which no thread leads yet: the caller
+    /// must get one to lead it through [`StrategyCache::begin`], or poison
+    /// it with [`StrategyCache::abandon`].
+    Founded(Arc<Flight>),
+}
+
 /// Outcome of [`StrategyCache::begin`].
 #[derive(Debug)]
 pub enum Lookup<'c> {
@@ -349,7 +436,7 @@ impl SelectionGuard<'_> {
         };
         let shard = self.cache.shard(self.fp);
         let winner = {
-            let mut inner = shard.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut inner = shard.lock();
             let winner = inner.insert(self.fp, selection, shard.capacity);
             inner.in_flight.remove(&self.fp);
             winner
@@ -360,9 +447,10 @@ impl SelectionGuard<'_> {
 
     /// Fails the flight with a typed reason so waiters learn *why* selection
     /// died (dropping the guard instead reports [`FlightPoison::Abandoned`]).
-    /// Errors are never cached; waiters race to become the next leader.
-    pub fn fail(mut self, reason: String) {
-        self.resolve_failed(FlightPoison::Error(reason));
+    /// Errors are never cached; waiting threads race to become the next
+    /// leader.
+    pub fn fail(mut self, poison: FlightPoison) {
+        self.resolve_failed(poison);
     }
 
     /// The poison left by the failed leader this caller replaced, when the
@@ -374,13 +462,7 @@ impl SelectionGuard<'_> {
 
     fn resolve_failed(&mut self, poison: FlightPoison) {
         if let Some(flight) = self.flight.take() {
-            let shard = self.cache.shard(self.fp);
-            shard
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .in_flight
-                .remove(&self.fp);
+            self.cache.shard(self.fp).lock().in_flight.remove(&self.fp);
             flight.resolve(Err(poison));
         }
     }
@@ -451,8 +533,9 @@ impl StrategyCache {
         &self.shards[(fp.0 as usize) & self.shard_mask]
     }
 
-    /// Looks up a fingerprint, joining or founding an in-flight selection on
-    /// a miss.  May block while another thread selects the same fingerprint.
+    /// Looks up a fingerprint for a thread.  On a miss the caller leads a
+    /// new flight, or one that [`StrategyCache::join`] founded and no thread
+    /// leads yet; otherwise it blocks while the leader selects.
     pub fn begin(&self, fp: Fingerprint) -> Lookup<'_> {
         if self.capacity == 0 {
             return Lookup::Miss(SelectionGuard {
@@ -465,25 +548,35 @@ impl StrategyCache {
         let shard = self.shard(fp);
         let mut recovered_poison = None;
         loop {
-            let flight = {
-                let mut inner = shard.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            let (flight, lead) = {
+                let mut inner = shard.lock();
                 if let Some(selection) = inner.touch(fp) {
                     return Lookup::Hit(selection);
                 }
-                match inner.in_flight.get(&fp) {
-                    Some(flight) => flight.clone(),
-                    None => {
+                match inner.in_flight.entry(fp) {
+                    Entry::Occupied(mut slot) => {
+                        let in_flight = slot.get_mut();
+                        let unled = !std::mem::replace(&mut in_flight.led, true);
+                        (in_flight.flight.clone(), unled)
+                    }
+                    Entry::Vacant(slot) => {
                         let flight = Flight::new();
-                        inner.in_flight.insert(fp, flight.clone());
-                        return Lookup::Miss(SelectionGuard {
-                            cache: self,
-                            fp,
-                            flight: Some(flight),
-                            recovered_poison,
+                        slot.insert(InFlight {
+                            flight: flight.clone(),
+                            led: true,
                         });
+                        (flight, true)
                     }
                 }
             };
+            if lead {
+                return Lookup::Miss(SelectionGuard {
+                    cache: self,
+                    fp,
+                    flight: Some(flight),
+                    recovered_poison,
+                });
+            }
             // Another thread is selecting: wait off-lock.  A poisoned flight
             // loops back so this caller can (race to) become the new leader,
             // carrying the poison into its guard so the retry can report it.
@@ -494,17 +587,58 @@ impl StrategyCache {
         }
     }
 
+    /// Looks up a fingerprint for an async request, without blocking: on a
+    /// miss, joins the flight for it or founds one that no thread leads.
+    pub fn join(&self, fp: Fingerprint) -> Join {
+        if self.capacity == 0 {
+            return Join::Ready;
+        }
+        let mut inner = self.shard(fp).lock();
+        if inner.touch(fp).is_some() {
+            return Join::Ready;
+        }
+        match inner.in_flight.entry(fp) {
+            Entry::Occupied(slot) => Join::Waiting(slot.get().flight.clone()),
+            Entry::Vacant(slot) => {
+                let flight = Flight::new();
+                slot.insert(InFlight {
+                    flight: flight.clone(),
+                    led: false,
+                });
+                Join::Founded(flight)
+            }
+        }
+    }
+
+    /// Poisons `flight`, founded for `fp` by [`StrategyCache::join`], and
+    /// wakes its waiters, unless a thread leads it (the leader resolves it).
+    pub fn abandon(&self, fp: Fingerprint, flight: &Arc<Flight>, poison: FlightPoison) {
+        {
+            let mut inner = self.shard(fp).lock();
+            let unled = inner
+                .in_flight
+                .get(&fp)
+                .is_some_and(|f| !f.led && Arc::ptr_eq(&f.flight, flight));
+            if !unled {
+                return;
+            }
+            inner.in_flight.remove(&fp);
+        }
+        flight.resolve(Err(poison));
+    }
+
+    /// Flights in progress across all shards, led or waiting for a leader.
+    pub fn in_flight(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().in_flight.len()).sum()
+    }
+
     /// Looks up the selection cached for a fingerprint, refreshing its
     /// recency (no single-flight; see [`StrategyCache::begin`]).
     pub fn get(&self, fp: Fingerprint) -> Option<Arc<SelectionPlan>> {
         if self.capacity == 0 {
             return None;
         }
-        self.shard(fp)
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .touch(fp)
+        self.shard(fp).lock().touch(fp)
     }
 
     /// Inserts a selection, evicting the shard's least-recently-used entry
@@ -516,22 +650,12 @@ impl StrategyCache {
             return selection;
         }
         let shard = self.shard(fp);
-        let mut inner = shard.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.insert(fp, selection, shard.capacity)
+        shard.lock().insert(fp, selection, shard.capacity)
     }
 
     /// Number of cached strategies (across all shards).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.inner
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .map
-                    .len()
-            })
-            .sum()
+        self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
     /// Whether the cache is empty.
@@ -543,12 +667,7 @@ impl StrategyCache {
     /// will publish into the emptied cache).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            shard
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .map
-                .clear();
+            shard.lock().map.clear();
         }
     }
 }
@@ -778,8 +897,9 @@ mod tests {
         // leader via `recovered_poison`; an abandoned (dropped) guard reports
         // `Abandoned` instead.
         let cache = Arc::new(StrategyCache::new(4));
+        let exploded = MechanismError::InvalidArgument("selector exploded".to_string());
         for (fail_with_reason, expected) in [
-            (true, FlightPoison::Error("selector exploded".to_string())),
+            (true, FlightPoison::Error(exploded)),
             (false, FlightPoison::Abandoned),
         ] {
             let Lookup::Miss(leader) = cache.begin(fp(11)) else {
@@ -800,20 +920,124 @@ mod tests {
             // Give the waiter time to pile onto the flight, then fail it.
             std::thread::sleep(std::time::Duration::from_millis(30));
             if fail_with_reason {
-                leader.fail("selector exploded".to_string());
+                leader.fail(expected.clone());
             } else {
                 drop(leader);
             }
             let recovered = waiter.join().unwrap();
             assert_eq!(recovered, Some(expected.clone()));
             assert!(expected.to_string().contains(match expected {
-                FlightPoison::Error(_) => "failed",
-                FlightPoison::Abandoned => "abandoned",
+                FlightPoison::Error(_) => "failed: invalid argument: selector exploded",
+                _ => "abandoned",
             }));
             // The retry leader published successfully and the entry is good.
             assert!(matches!(cache.begin(fp(11)), Lookup::Hit(_)));
             cache.clear();
         }
+    }
+
+    /// Counts its wakes.
+    #[derive(Default)]
+    struct CountingWaker(AtomicUsize);
+
+    impl std::task::Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl CountingWaker {
+        fn wakes(&self) -> usize {
+            self.0.load(Ordering::SeqCst)
+        }
+    }
+
+    /// An async request founds a flight and registers its waker; a thread
+    /// then leads that flight instead of waiting on it, and its publish
+    /// wakes the request exactly once.
+    #[test]
+    fn a_registered_waker_is_woken_once_when_the_flight_publishes() {
+        let cache = StrategyCache::new(4);
+        let counter = Arc::new(CountingWaker::default());
+        let waker = Waker::from(counter.clone());
+        let Join::Founded(flight) = cache.join(fp(5)) else {
+            panic!("an empty cache founds a flight");
+        };
+        // Polling twice registers the one task once.
+        assert!(flight.poll(&waker).is_pending());
+        assert!(flight.poll(&waker).is_pending());
+        match cache.join(fp(5)) {
+            Join::Waiting(joined) => assert!(Arc::ptr_eq(&joined, &flight)),
+            other => panic!("a second request joins the flight, got {other:?}"),
+        }
+        assert_eq!(cache.in_flight(), 1);
+        let Lookup::Miss(guard) = cache.begin(fp(5)) else {
+            panic!("a thread leads a flight that no thread leads yet");
+        };
+        // A led flight is not the founder's to abandon any more.
+        cache.abandon(fp(5), &flight, FlightPoison::Unled);
+        assert!(flight.poll(&waker).is_pending());
+        assert_eq!(counter.wakes(), 0);
+
+        let published = guard.publish(entry(4));
+        assert_eq!(counter.wakes(), 1);
+        match flight.poll(&waker) {
+            Poll::Ready(Ok(got)) => assert!(Arc::ptr_eq(&got, &published)),
+            other => panic!("a published flight is ready, got {other:?}"),
+        }
+        assert_eq!(counter.wakes(), 1, "a resolved flight registers no waker");
+        assert_eq!(cache.in_flight(), 0);
+        assert!(matches!(cache.join(fp(5)), Join::Ready));
+    }
+
+    /// Each way a flight can fail wakes a registered waker exactly once and
+    /// hands it that poison; the fingerprint is free to found afresh.
+    #[test]
+    fn a_registered_waker_is_woken_once_on_each_poison_kind() {
+        let poisons = [
+            FlightPoison::Error(MechanismError::InvalidArgument("bad".into())),
+            FlightPoison::Panicked("boom".into()),
+            FlightPoison::Abandoned,
+            FlightPoison::Unled,
+        ];
+        for expected in poisons {
+            let cache = StrategyCache::new(4);
+            let counter = Arc::new(CountingWaker::default());
+            let waker = Waker::from(counter.clone());
+            let Join::Founded(flight) = cache.join(fp(9)) else {
+                panic!("an empty cache founds a flight");
+            };
+            assert!(flight.poll(&waker).is_pending());
+            match &expected {
+                // Nobody leads it: the founder abandons it.
+                FlightPoison::Unled => cache.abandon(fp(9), &flight, FlightPoison::Unled),
+                poison => {
+                    let Lookup::Miss(guard) = cache.begin(fp(9)) else {
+                        panic!("a thread leads a flight that no thread leads yet");
+                    };
+                    if *poison == FlightPoison::Abandoned {
+                        drop(guard);
+                    } else {
+                        guard.fail(poison.clone());
+                    }
+                }
+            }
+            assert_eq!(counter.wakes(), 1, "{expected}: woken exactly once");
+            match flight.poll(&waker) {
+                Poll::Ready(Err(got)) => assert_eq!(got, expected),
+                other => panic!("{expected}: a poisoned flight is ready, got {other:?}"),
+            }
+            assert_eq!(counter.wakes(), 1, "{expected}: no waker after resolving");
+            assert_eq!(cache.in_flight(), 0);
+            assert!(matches!(cache.join(fp(9)), Join::Founded(_)));
+        }
+        // What a waiter that does not retry resolves with.
+        let bad = MechanismError::InvalidArgument("bad".into());
+        assert_eq!(FlightPoison::Error(bad.clone()).into_error(), bad);
+        assert_eq!(
+            FlightPoison::Panicked("boom".into()).into_error(),
+            MechanismError::PoisonedSelection("boom".into())
+        );
     }
 
     #[test]

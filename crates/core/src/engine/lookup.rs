@@ -8,22 +8,25 @@
 //!
 //! ```text
 //!   StrategyCache::begin(fp) ── hit / shared flight ──► plan
-//!        │ miss: this caller leads the single flight
+//!        │ miss: this caller leads the single flight (a new one, or one
+//!        │ a served request founded and queued a job to lead)
 //!        ├── store probe (breaker-gated) ── found ──► publish
 //!        ├── FaultSite::Selector seam
 //!        ├── select (the front's closure)
-//!        ├── persist (bounded retry, recorded on the breaker)
+//!        ├── persist (bounded retry, one breaker outcome per persist)
 //!        └── publish to the cache and every waiter
 //! ```
 //!
 //! Concurrent misses on one fingerprint therefore run one selection and
-//! write the write-once store entry once, whatever the plan kind.
+//! write the write-once store entry once, whatever the plan kind, and
+//! whether the misses come from threads or from the serve tier's requests.
 
 use super::plan::{PlanKind, SelectionPlan};
-use super::{Engine, Lookup, SaveOutcome, STORE_SAVE_ATTEMPTS, STORE_SAVE_BACKOFF};
+use super::{Engine, FlightPoison, Lookup, SaveOutcome, STORE_SAVE_ATTEMPTS, STORE_SAVE_BACKOFF};
 use crate::faults::{Fault, FaultSite};
 use mm_linalg::Matrix;
 use mm_workload::Fingerprint;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,12 +49,14 @@ impl Engine {
     ///
     /// Selection is single-flight: concurrent misses on one fingerprint run
     /// `select` exactly once (on the *leader* thread), and every waiter
-    /// receives the leader's plan, counted as a hit.  A selection error is
-    /// returned to the leader only; waiters retry (one at a time) and
-    /// errors are never cached.  A fresh plan is persisted before it is
-    /// published, so a restart racing this process sees the entry as soon
-    /// as waiters do; dense plans need `workload_gram` to derive their
-    /// persisted trace term, called only after `select` ran.
+    /// receives the leader's plan, counted as a hit.  A selection error or
+    /// panic poisons the flight with the error or the panic's message, and
+    /// reaches the leader as its result or its unwind; waiting threads
+    /// retry (one at a time) and errors are never cached.  A fresh plan is
+    /// persisted before it is published, so a restart racing this process
+    /// sees the entry as soon as waiters do; dense plans need
+    /// `workload_gram` to derive their persisted trace term, called only
+    /// after `select` ran.
     pub(super) fn lookup<'g>(
         &self,
         front: &FrontStats,
@@ -79,22 +84,33 @@ impl Engine {
             return Ok((guard.publish(plan), true));
         }
         // Fault-injection seam for the selection itself: a scheduled panic
-        // crashes the leader exactly like a buggy selector would (the
-        // guard's drop poisons the flight; waiters observe a typed poison
-        // and retry); scheduled latency models a selection stall, which is
-        // what request deadlines in the serve tier must survive.
-        match self.faults.inject(FaultSite::Selector) {
-            Some(Fault::Panic) => panic!("injected selector fault (scheduled chaos)"),
-            Some(Fault::LatencyMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-            _ => {}
-        }
-        // On error the flight is failed with the error's message so waiters
-        // retry knowing why; the selection counters move only on success.
-        let plan = match select() {
-            Ok(plan) => Arc::new(plan),
-            Err(e) => {
-                guard.fail(e.to_string());
+        // crashes the leader exactly like a buggy selector would; scheduled
+        // latency models a selection stall, which is what request deadlines
+        // in the serve tier must survive.
+        let selected = catch_unwind(AssertUnwindSafe(|| {
+            match self.faults.inject(FaultSite::Selector) {
+                Some(Fault::Panic) => panic!("injected selector fault (scheduled chaos)"),
+                Some(Fault::LatencyMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
+                _ => {}
+            }
+            select()
+        }));
+        // A failure poisons the flight with why, so waiters learn it; the
+        // selection counters move only on success.
+        let plan = match selected {
+            Ok(Ok(plan)) => Arc::new(plan),
+            Ok(Err(e)) => {
+                guard.fail(FlightPoison::Error(e.clone()));
                 return Err(e);
+            }
+            Err(panic) => {
+                let message = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "selection panicked".to_string());
+                guard.fail(FlightPoison::Panicked(message));
+                resume_unwind(panic)
             }
         };
         let selections = match plan.kind() {
@@ -124,7 +140,9 @@ impl Engine {
 
     /// Persists a plan with bounded retry and exponential backoff
     /// ([`STORE_SAVE_ATTEMPTS`] attempts, [`STORE_SAVE_BACKOFF`] doubling),
-    /// recording every attempt's outcome on the circuit breaker.  Returns
+    /// recording one outcome per persist on the circuit breaker: a success,
+    /// or one failure when its attempts failed without writing the entry
+    /// (each failed attempt counts in `store_save_failures`).  Returns
     /// whether this call wrote the entry.  An open breaker skips the save
     /// (the selection stays memory-cached; a later cool-down probe can
     /// rewrite it — fingerprints are write-once, so nothing is lost).
@@ -148,19 +166,22 @@ impl Engine {
                     return true;
                 }
                 // Not a persistence failure: the entry already exists (or
-                // the plan stays memory-only by design).  No health signal.
-                SaveOutcome::Skipped => return false,
+                // the plan stays memory-only by design).  No health signal,
+                // unless an earlier attempt failed: a torn write leaves the
+                // entry a retry then finds, and that persist still failed.
+                SaveOutcome::Skipped if attempt == 1 => return false,
+                SaveOutcome::Skipped => break,
                 SaveOutcome::Failed => {
                     self.store_save_failures.fetch_add(1, Ordering::Relaxed);
-                    self.breaker.record_failure();
                     if attempt == STORE_SAVE_ATTEMPTS || !self.breaker.allow() {
-                        return false;
+                        break;
                     }
                     std::thread::sleep(backoff);
                     backoff = backoff.saturating_mul(2);
                 }
             }
         }
+        self.breaker.record_failure();
         false
     }
 }

@@ -91,7 +91,8 @@ pub use breaker::{
     BreakerState, StoreBreaker, StoreHealth, DEFAULT_BREAKER_COOLDOWN, DEFAULT_BREAKER_THRESHOLD,
 };
 pub use cache::{
-    CachedSelection, FlightPoison, Lookup, SelectionGuard, StrategyCache, DEFAULT_SHARD_COUNT,
+    CachedSelection, Flight, FlightPoison, Join, Lookup, SelectionGuard, StrategyCache,
+    DEFAULT_SHARD_COUNT,
 };
 pub use plan::{LowRankPlan, PlanKind, SelectionPlan, StructuredPlan};
 pub use selector::{
@@ -246,7 +247,8 @@ impl EngineBuilder {
     }
 
     /// Configures the store circuit breaker: after `threshold` consecutive
-    /// persistence failures (min 1) the engine degrades to memory-only
+    /// failed persists (min 1; a persist fails once all its
+    /// [`STORE_SAVE_ATTEMPTS`] attempts have) the engine degrades to memory-only
     /// caching — no store loads or saves — for `cooldown`, then probes
     /// half-open (see [`breaker`]).  Default:
     /// [`DEFAULT_BREAKER_THRESHOLD`] failures,
@@ -348,9 +350,11 @@ pub struct EngineStats {
     /// Fresh selections persisted to the [`StrategyStore`] (write-once:
     /// fingerprints another process persisted first are not re-counted).
     pub store_writes: u64,
-    /// Store save attempts that failed (each attempt of a bounded-retry
-    /// save counts; always 0 without a configured store).  These drive the
-    /// store circuit breaker — see [`Engine::store_health`].
+    /// Store save attempts that failed: each attempt of a bounded-retry save
+    /// counts, so one failed persist adds up to [`STORE_SAVE_ATTEMPTS`].
+    /// Always 0 without a configured store.  The store circuit breaker
+    /// counts failed persists instead, one per save whose attempts all
+    /// failed — see [`Engine::store_health`].
     pub store_save_failures: u64,
     /// Corrupt store entries silently dropped (deleted and recomputed):
     /// truncated files, checksum mismatches, wrong versions, mismatched
@@ -359,7 +363,8 @@ pub struct EngineStats {
     pub store_corrupt_dropped: u64,
     /// Times a caller became selection leader only because a previous
     /// leader's flight was poisoned (selector error, panic or abandonment) —
-    /// the typed-poison retry path, for any plan kind.
+    /// the typed-poison retry path, for any plan kind.  A flight that no
+    /// thread ever led ([`FlightPoison::Unled`]) is never counted.
     pub poisoned_flights: u64,
     /// Structured (matrix-free) calls served from the structured cache.
     pub structured_cache_hits: u64,
@@ -529,11 +534,29 @@ impl Engine {
 
     /// A non-blocking cache probe by fingerprint for any plan kind,
     /// refreshing the entry's recency on a hit.  Unlike the `answer`/`select`
-    /// paths this never joins or founds an in-flight selection, which makes
-    /// it the right primitive for async front-ends that must not block an
-    /// executor thread.
+    /// paths this never joins or founds an in-flight selection.
     pub fn cached_plan(&self, fp: Fingerprint) -> Option<Arc<SelectionPlan>> {
         self.cache.get(fp)
+    }
+
+    /// The non-blocking single-flight lookup of async front-ends
+    /// ([`StrategyCache::join`]): a miss waits with a waker on the same
+    /// flight the `answer`/`select` paths lead and block on.  A flight this
+    /// call founds is led by the next of those lookups of `fp`, or must be
+    /// abandoned ([`Engine::abandon_flight`]).
+    pub fn join_flight(&self, fp: Fingerprint) -> Join {
+        self.cache.join(fp)
+    }
+
+    /// Poisons a flight founded through [`Engine::join_flight`] if no thread
+    /// has led it yet ([`StrategyCache::abandon`]).
+    pub fn abandon_flight(&self, fp: Fingerprint, flight: &Arc<Flight>, poison: FlightPoison) {
+        self.cache.abandon(fp, flight, poison);
+    }
+
+    /// Selections in flight, led by a thread or waiting for one.
+    pub fn in_flight_selections(&self) -> usize {
+        self.cache.in_flight()
     }
 
     /// Like [`Engine::cached_plan`], narrowed to the dense selection: `None`

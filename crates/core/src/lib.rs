@@ -74,7 +74,7 @@ pub use privacy::PrivacyParams;
 /// Marked `#[non_exhaustive]`: new serving-layer failure modes (budget
 /// accounting, backend compatibility, …) may be added without a breaking
 /// change, so downstream matches must carry a wildcard arm.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum MechanismError {
     /// A linear-algebra step failed.
@@ -126,7 +126,8 @@ pub enum MechanismError {
     /// *not* reported here — corrupt entries fall back to fresh selection.
     Store(String),
     /// A selection this caller was waiting on died with the leader (panic or
-    /// abandonment) and was not retried on the caller's behalf.
+    /// abandonment, or the serving tier shut down before any thread led it)
+    /// and was not retried on the caller's behalf.
     PoisonedSelection(String),
 }
 

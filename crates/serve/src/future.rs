@@ -1,114 +1,55 @@
 //! The serving future: one [`AnswerFuture`] state machine for every request
-//! kind, plus the shared in-flight [`SelectionTask`] waiters register wakers
-//! on.
+//! kind, waiting on the engine's own selection [`Flight`].
 //!
 //! The state machine is deliberately small.  A future is born `Active`
 //! (or `Failed` when rejected at submit); each poll either
 //!
 //! 1. finds the request's [`SelectionPlan`](mm_core::engine::SelectionPlan)
 //!    cached and answers immediately through the engine's own paths, or
-//! 2. joins (or founds) the one in-flight [`SelectionTask`] for its
-//!    fingerprint, registers its waker, and returns `Pending`.
+//! 2. joins the engine's in-flight selection for its plan key
+//!    ([`Engine::join_flight`]), registers its waker on that [`Flight`], and
+//!    returns `Pending`.  When no flight exists the request founds one and
+//!    enqueues one selection job, which leads the flight through the
+//!    engine's own lookup, unless a synchronous caller reaches it first and
+//!    leads it.
 //!
-//! Completion of the selection job wakes every registered waiter; the next
-//! poll of each lands in case 1.  Answer assembly thus always happens on
-//! the polling task with its own seeded RNG — the worker pool only ever
-//! runs selections, which is what makes served answers bit-identical to
-//! direct engine calls.  A request kind is two values fixed at submit: the
-//! plan key and the engine answer call.  A request whose selection is too
-//! cheap to be worth a worker round-trip (the structured path) carries no
-//! key and runs entirely inline on the first poll.
+//! The flight wakes every registered waiter when it resolves; the next poll
+//! of each lands in case 1.  Answer assembly thus always happens on the
+//! polling task with its own seeded RNG — the worker pool only ever runs
+//! selections, which is what makes served answers bit-identical to direct
+//! engine calls.  A request kind is two values fixed at submit: the plan
+//! key and the engine answer call.  A request whose selection is too cheap
+//! to be worth a worker round-trip (the structured path) carries no key and
+//! runs entirely inline on the first poll.
+//!
+//! A flight that fails resolves its waiters with its [`FlightPoison`]: the
+//! request fails typed ([`FlightPoison::into_error`]: the selector's error,
+//! or `PoisonedSelection` naming a panic), except on
+//! [`FlightPoison::Unled`], a flight that no thread ever led, when it founds
+//! a new flight.
 //!
 //! Every future may additionally carry a **deadline** (builder default or a
 //! per-future override): an expired request resolves with the typed
 //! [`ServeError::DeadlineExceeded`] instead of waiting further, a pending
 //! one arms the serving tier's watchdog so the expiry fires even when the
 //! selection it waits on never completes, and a queued selection job whose
-//! founder's deadline passed is skipped by the worker ([`TaskFailure::Expired`])
-//! rather than run stale — live waiters simply re-found the flight.
+//! founder's deadline passed is skipped by the worker rather than run
+//! stale: it poisons its flight [`FlightPoison::Unled`] unless a thread
+//! already leads it, and live waiters simply re-found the flight.
 
-use crate::{Inner, ServeError};
+use crate::{Inner, Job, ServeError};
 use mm_core::accounting::UserLedger;
-use mm_core::engine::{Engine, EngineAnswer};
-use mm_core::MechanismError;
+use mm_core::engine::{Engine, EngineAnswer, Flight, FlightPoison, Join};
 use mm_workload::{Fingerprint, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::task::{Context, Poll, Waker};
+use std::sync::Arc;
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
-
-/// Why a selection flight resolved without a usable plan.
-#[derive(Clone)]
-pub(crate) enum TaskFailure {
-    /// The selection itself failed (selector error, panic, shutdown);
-    /// shared, because one failed selection fails every waiter.
-    Mechanism(Arc<MechanismError>),
-    /// The founding request's deadline passed before the job ran, so the
-    /// worker skipped the (stale) selection.  Not an error for the *other*
-    /// waiters: any still-live one re-founds the flight under its own
-    /// deadline on the next poll.
-    Expired,
-}
-
-/// One in-flight selection: waiters register wakers, the worker completes.
-pub(crate) struct SelectionTask {
-    state: Mutex<TaskState>,
-}
-
-enum TaskState {
-    Pending(Vec<Waker>),
-    Done(Result<(), TaskFailure>),
-}
-
-impl SelectionTask {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(SelectionTask {
-            state: Mutex::new(TaskState::Pending(Vec::new())),
-        })
-    }
-
-    /// Returns the outcome if the selection finished, otherwise registers
-    /// the waker (deduplicated via [`Waker::will_wake`]) and returns `None`.
-    pub(crate) fn poll_done(&self, waker: &Waker) -> Option<Result<(), TaskFailure>> {
-        // Poison recovery: the task state is always written whole (one
-        // enum assignment), so a panic elsewhere leaves nothing torn — and
-        // panicking here would take every waiter down with the poisoner.
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        match &mut *state {
-            TaskState::Done(result) => Some(result.clone()),
-            TaskState::Pending(wakers) => {
-                if !wakers.iter().any(|w| w.will_wake(waker)) {
-                    wakers.push(waker.clone());
-                }
-                None
-            }
-        }
-    }
-
-    /// Resolves the task and wakes every registered waiter.  Idempotent:
-    /// only the first completion sticks (the shutdown path in
-    /// `ServeEngine::drop` may race a finishing worker).
-    pub(crate) fn complete(&self, result: Result<(), TaskFailure>) {
-        let wakers = {
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            match &mut *state {
-                TaskState::Done(_) => return,
-                TaskState::Pending(wakers) => {
-                    let wakers = std::mem::take(wakers);
-                    *state = TaskState::Done(result);
-                    wakers
-                }
-            }
-        };
-        for waker in wakers {
-            waker.wake();
-        }
-    }
-}
 
 /// The engine answer call of one request kind, run on the polling task once
 /// the plan is warm: the engine (for a ledger's session), the workload, the
@@ -146,7 +87,8 @@ pub struct AnswerFuture<W: Workload + Send + Sync + ?Sized + 'static, T = Engine
     /// request whose selection runs inline on the polling task.
     key: Option<Fingerprint>,
     answer: AnswerCall<W, T>,
-    task: Option<Arc<SelectionTask>>,
+    /// The engine flight this request waits on, once it has joined one.
+    flight: Option<Arc<Flight>>,
     state: FutState,
     /// When set, the request fails with [`ServeError::DeadlineExceeded`]
     /// once `.0` passes; `.1` is the originally configured duration (for
@@ -193,7 +135,7 @@ impl<W: Workload + Send + Sync + ?Sized + 'static, T> AnswerFuture<W, T> {
             ledger,
             key,
             answer,
-            task: None,
+            flight: None,
             state,
             deadline,
         }
@@ -211,87 +153,51 @@ impl<W: Workload + Send + Sync + ?Sized + 'static, T> AnswerFuture<W, T> {
         self
     }
 
-    /// Joins the in-flight selection for `fp`, or founds one by enqueueing
-    /// a selection job.  Returns the shed error if the queue is full.
-    fn join_or_found(&mut self, fp: Fingerprint) -> Result<(), ServeError> {
-        let mut pending = self
-            .inner
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(task) = pending.get(&fp.0) {
-            self.task = Some(task.clone());
-            return Ok(());
-        }
-        let task = SelectionTask::new();
-        // The founder's deadline rides along with the job: a queued
-        // selection nobody can still be served by (its founder gave up and
-        // every re-join would have re-founded) is skipped, not run stale.
+    /// The worker job that gets `flight`, which this request founded for
+    /// `fp`, led: it runs the engine's own lookup
+    /// ([`Engine::select_plan_for`]), which leads the flight unless a
+    /// synchronous caller already does.  A job whose founder's deadline has
+    /// passed runs nothing.  Either way the job ends by poisoning the flight
+    /// if no thread led it, so no waiter is stranded: `Unled` after an
+    /// expiry, or the lookup's own failure if it never reached the flight.
+    fn selection_job(&self, fp: Fingerprint, flight: Arc<Flight>) -> Job {
+        let inner = self.inner.clone();
+        let workload = self.workload.clone();
         let expires = self.deadline.map(|(at, _)| at);
-        let job: crate::Job = {
-            let inner = self.inner.clone();
-            let task = task.clone();
-            let workload = self.workload.clone();
-            Box::new(move || {
-                if expires.is_some_and(|at| Instant::now() >= at) {
-                    inner
-                        .pending
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .remove(&fp.0);
-                    inner.jobs_expired.fetch_add(1, Ordering::Relaxed);
-                    task.complete(Err(TaskFailure::Expired));
-                    return;
-                }
-                // select_plan_for warms whichever plan kind the engine is
-                // configured for (dense or low-rank) under the same key the
-                // answer path will look up.  The engine's own single-flight
-                // guard handles concurrent sync callers; catch_unwind
-                // converts a panicking selector into a typed poison every
-                // waiter can observe.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        Box::new(move || {
+            let expired = expires.is_some_and(|at| Instant::now() >= at);
+            let poison = if expired {
+                FlightPoison::Unled
+            } else {
+                // The lookup has poisoned a flight it led before a panic
+                // got here; catching it keeps the worker alive.
+                match catch_unwind(AssertUnwindSafe(|| {
                     inner.engine.select_plan_for(&*workload)
-                }));
-                inner
-                    .pending
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&fp.0);
-                let outcome = match outcome {
-                    Ok(Ok(_)) => Ok(()),
-                    Ok(Err(e)) => Err(TaskFailure::Mechanism(Arc::new(e))),
-                    Err(panic) => {
-                        let msg = if let Some(s) = panic.downcast_ref::<&str>() {
-                            (*s).to_string()
-                        } else if let Some(s) = panic.downcast_ref::<String>() {
-                            s.clone()
-                        } else {
-                            "selection worker panicked".to_string()
-                        };
-                        Err(TaskFailure::Mechanism(Arc::new(
-                            MechanismError::PoisonedSelection(msg),
-                        )))
-                    }
-                };
-                task.complete(outcome);
-            })
-        };
-        // Enqueue while holding the pending lock: the worker cannot remove
-        // the task from `pending` (it needs this lock) before we insert it,
-        // so join/found/remove stay linearisable.  Lock order is always
-        // pending → queue here and queue-alone then pending-alone in the
-        // worker, so there is no cycle.
-        if !self.inner.try_enqueue(job) {
-            drop(pending);
-            self.inner.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Overloaded {
-                capacity: self.inner.queue_capacity(),
-            });
+                })) {
+                    Ok(Ok(_)) => FlightPoison::Unled,
+                    Ok(Err(e)) => FlightPoison::Error(e),
+                    Err(_) => FlightPoison::Abandoned,
+                }
+            };
+            inner.engine.abandon_flight(fp, &flight, poison);
+            if expired {
+                inner.jobs_expired.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    }
+
+    /// Resolves the request with [`ServeError::DeadlineExceeded`] once its
+    /// deadline has passed.
+    fn expire(&mut self) -> Option<Poll<Result<T, ServeError>>> {
+        let (at, after) = self.deadline?;
+        if Instant::now() < at {
+            return None;
         }
-        pending.insert(fp.0, task.clone());
-        self.inner.selection_jobs.fetch_add(1, Ordering::Relaxed);
-        self.task = Some(task);
-        Ok(())
+        self.flight = None;
+        self.inner.deadline_expired.fetch_add(1, Ordering::Relaxed);
+        Some(Poll::Ready(Err(ServeError::DeadlineExceeded {
+            deadline_ms: after.as_millis() as u64,
+        })))
     }
 }
 
@@ -300,75 +206,74 @@ impl<W: Workload + Send + Sync + ?Sized + 'static, T> Future for AnswerFuture<W,
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
+        // The state stays `Finished` unless this poll returns `Pending`.
         match std::mem::replace(&mut this.state, FutState::Finished) {
             FutState::Failed(Some(error)) => return Poll::Ready(Err(error)),
             FutState::Failed(None) | FutState::Finished => {
                 // mm-lint: allow(serve-panic-freedom): polling a resolved future violates the Future contract — panicking in the caller's task (as std combinators do) beats silently hanging it, and no flight waiter is affected
                 panic!("serve future polled after completion")
             }
-            FutState::Active => this.state = FutState::Active,
+            FutState::Active => {}
         }
         // Deadline check before any new work: an expired request resolves
         // typed instead of joining (or founding) a flight it cannot use.
-        if let Some((at, after)) = this.deadline {
-            if Instant::now() >= at {
-                this.task = None;
-                this.inner.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                this.state = FutState::Finished;
-                return Poll::Ready(Err(ServeError::DeadlineExceeded {
-                    deadline_ms: after.as_millis() as u64,
-                }));
-            }
+        if let Some(expired) = this.expire() {
+            return expired;
         }
         if let Some(fp) = this.key {
-            // A completed selection job clears `task`, so losing a poll race
-            // just re-runs the (cheap) cache probe.  The probe is plan-kind
-            // agnostic: a cached low-rank plan is as warm as a dense one.
             loop {
-                if this.task.is_none() && this.inner.engine.cached_plan(fp).is_none() {
-                    if let Err(shed) = this.join_or_found(fp) {
-                        this.state = FutState::Finished;
-                        return Poll::Ready(Err(shed));
-                    }
-                }
-                match &this.task {
-                    None => break,
-                    Some(task) => match task.poll_done(cx.waker()) {
-                        None => {
-                            // Waiting on the flight: also arm the watchdog,
-                            // so an expired deadline wakes this task even if
-                            // the selection never completes.
-                            if let Some((at, _)) = this.deadline {
-                                this.inner.register_timer(at, cx.waker().clone());
+                let flight = match this.flight.take() {
+                    Some(flight) => flight,
+                    // The probe is plan-kind agnostic: a cached low-rank
+                    // plan is as warm as a dense one.
+                    None => match this.inner.engine.join_flight(fp) {
+                        Join::Ready => break,
+                        Join::Waiting(flight) => flight,
+                        Join::Founded(flight) => {
+                            let job = this.selection_job(fp, flight.clone());
+                            if let Err(error) = this.inner.enqueue(job) {
+                                // No job will lead the flight: poison it, so
+                                // a request that joined it meanwhile founds
+                                // its own.
+                                this.inner
+                                    .engine
+                                    .abandon_flight(fp, &flight, FlightPoison::Unled);
+                                let counter = match error {
+                                    ServeError::Overloaded { .. } => &this.inner.shed,
+                                    _ => &this.inner.failed,
+                                };
+                                counter.fetch_add(1, Ordering::Relaxed);
+                                return Poll::Ready(Err(error));
                             }
-                            return Poll::Pending;
-                        }
-                        Some(Err(TaskFailure::Expired)) => {
-                            // The *founder's* deadline killed the job; this
-                            // waiter re-probes and re-founds under its own
-                            // clock — unless that clock ran out meanwhile.
-                            this.task = None;
-                            if let Some((at, after)) = this.deadline {
-                                if Instant::now() >= at {
-                                    this.inner.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                                    this.state = FutState::Finished;
-                                    return Poll::Ready(Err(ServeError::DeadlineExceeded {
-                                        deadline_ms: after.as_millis() as u64,
-                                    }));
-                                }
-                            }
-                        }
-                        Some(Err(TaskFailure::Mechanism(error))) => {
-                            this.task = None;
-                            this.inner.failed.fetch_add(1, Ordering::Relaxed);
-                            this.state = FutState::Finished;
-                            return Poll::Ready(Err(ServeError::Mechanism(error)));
-                        }
-                        Some(Ok(())) => {
-                            this.task = None;
-                            break;
+                            flight
                         }
                     },
+                };
+                match flight.poll(cx.waker()) {
+                    Poll::Pending => {
+                        // Waiting on the flight: also arm the watchdog, so
+                        // an expired deadline wakes this task even if the
+                        // selection never completes.
+                        if let Some((at, _)) = this.deadline {
+                            this.inner.register_timer(at, cx.waker().clone());
+                        }
+                        this.flight = Some(flight);
+                        this.state = FutState::Active;
+                        return Poll::Pending;
+                    }
+                    Poll::Ready(Ok(_)) => break,
+                    // Nobody led the flight (its founder was shed or
+                    // expired): found a new one under this request's own
+                    // clock, unless that ran out meanwhile.
+                    Poll::Ready(Err(FlightPoison::Unled)) => {
+                        if let Some(expired) = this.expire() {
+                            return expired;
+                        }
+                    }
+                    Poll::Ready(Err(poison)) => {
+                        this.inner.failed.fetch_add(1, Ordering::Relaxed);
+                        return Poll::Ready(Err(ServeError::from(poison.into_error())));
+                    }
                 }
             }
         }
@@ -388,7 +293,6 @@ impl<W: Workload + Send + Sync + ?Sized + 'static, T> Future for AnswerFuture<W,
             Ok(_) => this.inner.completed.fetch_add(1, Ordering::Relaxed),
             Err(_) => this.inner.failed.fetch_add(1, Ordering::Relaxed),
         };
-        this.state = FutState::Finished;
         Poll::Ready(result)
     }
 }

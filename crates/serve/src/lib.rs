@@ -9,24 +9,24 @@
 //!
 //! * **Non-blocking waits.** `Engine::answer` on a cold workload blocks an
 //!   OS thread in the cache's single-flight wait.  [`ServeEngine::answer`]
-//!   instead returns a [`Future`](std::future::Future): a cache miss
-//!   enqueues one selection job on the worker pool, concurrent requests for
-//!   the same fingerprint *register wakers* on the in-flight job (no
-//!   duplicate selection, no blocked executor threads), and every waiter
-//!   resumes when the job completes.  Every request kind (one dense
-//!   vector, a batch, a structured workload) is one [`AnswerFuture`],
-//!   generic over what it resolves to.  It is a plain `std` future: drive
-//!   it with any runtime, or with the bundled [`block_on`] / [`join_all`].
+//!   instead returns a [`Future`](std::future::Future) that *registers a
+//!   waker* on that same flight ([`Engine::join_flight`]).  A miss with no
+//!   flight in progress founds one and enqueues one selection job on the
+//!   worker pool, which leads it unless a synchronous caller gets there
+//!   first.  Every request kind (one dense vector, a batch, a structured
+//!   workload) is one [`AnswerFuture`], generic over what it resolves to.
+//!   It is a plain `std` future: drive it with any runtime, or with the
+//!   bundled [`block_on`] / [`join_all`].
 //! * **Bounded admission.** The selection queue is bounded; when it is full,
 //!   new cold-workload requests fail fast with [`ServeError::Overloaded`]
 //!   instead of queueing without limit.  Every request first passes the
 //!   engine's admission gate ([`Engine::admit`]) at submit time: malformed
 //!   input, and for requests charged to a [`UserLedger`] a spent shared
 //!   budget, reject before any key is derived or work queued.
-//! * **Typed failure.** A selection job that returns an error or panics
-//!   poisons only that flight: every waiter receives a typed
-//!   [`MechanismError::PoisonedSelection`] / the selector's error, and the
-//!   fingerprint can be retried fresh.
+//! * **Typed failure.** A selection that returns an error or panics poisons
+//!   only that flight: every served waiter resolves with the selector's
+//!   error or a [`MechanismError::PoisonedSelection`] naming the panic, and
+//!   the fingerprint can be retried fresh.
 //! * **Graceful degradation.** Requests can carry **deadlines** (a builder
 //!   default, or per-future): an expired request resolves with the typed
 //!   [`ServeError::DeadlineExceeded`] — a watchdog thread wakes it even if
@@ -85,13 +85,13 @@ use mm_core::engine::{Engine, EngineAnswer, StoreHealth, StructuredAnswer};
 use mm_core::{Fault, FaultSite, MechanismError};
 use mm_workload::{StructuredWorkload, Workload};
 use rand::rngs::StdRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
-use future::{AnswerCall, SelectionTask, TaskFailure};
+use future::AnswerCall;
 
 /// Default number of selection worker threads.
 pub const DEFAULT_WORKERS: usize = 2;
@@ -195,9 +195,9 @@ pub struct ServeStats {
     /// Requests rejected at submit time (malformed input, budget headroom,
     /// NaN gram).
     pub rejected: u64,
-    /// Selection jobs enqueued on the worker pool — with waker-based
-    /// deduplication this stays at one per distinct cold fingerprint no
-    /// matter how many requests pile onto it.
+    /// Selection jobs enqueued on the worker pool: one per flight a request
+    /// founds, however many requests join it.  A request that joins a
+    /// flight a synchronous caller leads enqueues none.
     pub selection_jobs: u64,
     /// Requests submitted through the structured (matrix-free) path
     /// ([`ServeEngine::answer_structured`]); these never enqueue worker
@@ -220,7 +220,9 @@ pub struct ServeHealth {
     pub queue_depth: usize,
     /// The configured queue bound ([`ServeEngineBuilder::queue_capacity`]).
     pub queue_capacity: usize,
-    /// Selection flights currently in progress (founded, not yet resolved).
+    /// The engine's selection flights in progress
+    /// ([`Engine::in_flight_selections`]): led by a worker or a synchronous
+    /// caller, or founded by a request whose job is still queued.
     pub pending_selections: usize,
     /// Requests shed with [`ServeError::Overloaded`] since construction.
     pub shed: u64,
@@ -248,8 +250,8 @@ pub(crate) struct Inner {
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     queue_capacity: usize,
+    /// Set once, by [`ServeEngine`]'s drop, under the queue and timer locks.
     shutdown: AtomicBool,
-    pub(crate) pending: Mutex<HashMap<u64, Arc<SelectionTask>>>,
     /// Deadline → waker registrations serviced by the watchdog thread, so a
     /// pending future whose deadline passes is woken (and resolves
     /// [`ServeError::DeadlineExceeded`]) even if the selection it waits on
@@ -279,24 +281,33 @@ impl std::fmt::Debug for Inner {
 }
 
 impl Inner {
-    /// Enqueues a selection job unless the queue is full.
+    /// Enqueues a selection job, or returns the request's typed failure:
+    /// [`ServeError::Overloaded`] when the queue is full, and a
+    /// [`MechanismError::PoisonedSelection`] once the tier has shut down.
+    /// Both are decided under the queue lock, which the drop holds while it
+    /// sets `shutdown` and a worker holds when it leaves, so no job can land
+    /// after the last worker has left.
     ///
     /// Lock poisoning is recovered throughout this tier: the queue and
-    /// pending maps hold plain data that is never left half-updated across a
+    /// timer lists hold plain data that is never left half-updated across a
     /// panic (jobs are pushed/popped whole), so the poison flag carries no
     /// information — and propagating it would panic every waiter.
-    pub(crate) fn try_enqueue(&self, job: Job) -> bool {
+    pub(crate) fn enqueue(&self, job: Job) -> Result<(), ServeError> {
         let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.shutdown.load(Ordering::Acquire) {
+            return Err(ServeError::from(MechanismError::PoisonedSelection(
+                "serving tier shut down before the selection completed".into(),
+            )));
+        }
         if queue.len() >= self.queue_capacity {
-            return false;
+            return Err(ServeError::Overloaded {
+                capacity: self.queue_capacity,
+            });
         }
         queue.push_back(job);
+        self.selection_jobs.fetch_add(1, Ordering::Relaxed);
         self.queue_cv.notify_one();
-        true
-    }
-
-    pub(crate) fn queue_capacity(&self) -> usize {
-        self.queue_capacity
+        Ok(())
     }
 
     fn worker_loop(&self) {
@@ -450,7 +461,6 @@ impl ServeEngineBuilder {
             queue_cv: Condvar::new(),
             queue_capacity: self.queue_capacity,
             shutdown: AtomicBool::new(false),
-            pending: Mutex::new(HashMap::new()),
             timers: Mutex::new(Vec::new()),
             timer_cv: Condvar::new(),
             default_deadline: self.default_deadline,
@@ -493,7 +503,9 @@ impl ServeEngineBuilder {
 /// The async front-end over an [`Engine`]: see the crate docs.
 ///
 /// Dropping the `ServeEngine` stops the worker pool: queued selection jobs
-/// are drained first, so every already-admitted future still resolves.
+/// are drained first, so every already-admitted future still resolves.  A
+/// cold request first polled after the drop resolves with a typed
+/// [`MechanismError::PoisonedSelection`] instead of enqueueing.
 #[derive(Debug)]
 pub struct ServeEngine {
     inner: Arc<Inner>,
@@ -545,16 +557,10 @@ impl ServeEngine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len();
-        let pending_selections = self
-            .inner
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len();
         ServeHealth {
             queue_depth,
             queue_capacity: self.inner.queue_capacity,
-            pending_selections,
+            pending_selections: self.inner.engine.in_flight_selections(),
             shed: self.inner.shed.load(Ordering::Relaxed),
             rejected: self.inner.rejected.load(Ordering::Relaxed),
             deadline_expired: self.inner.deadline_expired.load(Ordering::Relaxed),
@@ -691,8 +697,8 @@ impl ServeEngine {
         }
         let engine = &self.inner.engine;
         let accountant = ledger.map(UserLedger::accountant_handle);
-        // The key is the dedup key for waker registration.  It is the key
-        // the answer derives too, and a workload that memoises it
+        // The key names the engine flight the request waits on.  It is the
+        // key the answer derives too, and a workload that memoises it
         // (all-range, marginal) builds no gram for it here or there on a
         // repeated request.  The base fingerprint is mixed through the
         // engine's plan keying so a low-rank engine's futures wait on (and
@@ -785,32 +791,23 @@ fn structured_one<W: StructuredWorkload + ?Sized>(
 
 impl Drop for ServeEngine {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.queue_cv.notify_all();
-        self.inner.timer_cv.notify_all();
+        // Set under the queue and timer locks, so neither a worker nor the
+        // watchdog can miss it between its check and its wait, and no job
+        // is admitted after it (see `Inner::enqueue`).  Workers drain the
+        // queue before they leave, so every flight a job would lead resolves.
+        let inner = &self.inner;
+        {
+            let _queue = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let _timers = inner.timers.lock().unwrap_or_else(PoisonError::into_inner);
+            inner.shutdown.store(true, Ordering::Release);
+        }
+        inner.queue_cv.notify_all();
+        inner.timer_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
         if let Some(watchdog) = self.watchdog.take() {
             let _ = watchdog.join();
-        }
-        // Workers drain the queue before exiting, so every admitted job ran;
-        // any task still pending here lost its job to a worker that died
-        // mid-selection.  Poison it so waiters resolve instead of hanging.
-        let leftovers: Vec<Arc<SelectionTask>> = self
-            .inner
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain()
-            .map(|(_, task)| task)
-            .collect();
-        for task in leftovers {
-            task.complete(Err(TaskFailure::Mechanism(Arc::new(
-                MechanismError::PoisonedSelection(
-                    "serving tier shut down before the selection completed".into(),
-                ),
-            ))));
         }
     }
 }

@@ -91,9 +91,9 @@ fn mmplan_count(dir: &Path) -> usize {
 }
 
 /// Schedule: every store write fails.  The breaker trips after the
-/// configured threshold of consecutive failures and the engine degrades to
-/// memory-only caching — answers keep flowing, bit-identical, exactly
-/// charged, with no further disk traffic attempted.
+/// configured threshold of consecutive failed persists and the engine
+/// degrades to memory-only caching — answers keep flowing, bit-identical,
+/// exactly charged, with no further disk traffic attempted.
 #[test]
 fn persistent_write_failures_trip_the_breaker_and_degrade_to_memory_only() {
     let dir = scratch_dir("write-fail");
@@ -113,10 +113,10 @@ fn persistent_write_failures_trip_the_breaker_and_degrade_to_memory_only() {
     let per_answer = engine.privacy().epsilon;
     let ledger = big_ledger("breaker-user");
 
-    // Three distinct cold workloads: the first answer's save retries
-    // (bounded) and fails until the breaker opens; later answers must not
-    // even attempt the store.
-    for (i, n) in [8usize, 9, 10].into_iter().enumerate() {
+    // Four distinct cold workloads: each of the first three answers' saves
+    // retries (bounded) and fails, one failed persist each, which opens the
+    // breaker; the fourth answer must not even attempt the store.
+    for (i, n) in [8usize, 9, 10, 11].into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(i as u64);
         let answer = engine
             .user_session(&ledger)
@@ -134,14 +134,60 @@ fn persistent_write_failures_trip_the_breaker_and_degrade_to_memory_only() {
     assert!(health.consecutive_failures >= 3);
     let stats = engine.stats();
     assert_eq!(
-        stats.store_save_failures, 3,
-        "exactly the first answer's bounded retries fail; once open, no \
-         further attempts are made"
+        stats.store_save_failures, 9,
+        "exactly three failed persists of three bounded attempts each; once \
+         open, no further attempts are made"
     );
     assert_eq!(stats.store_writes, 0);
-    assert_eq!(stats.selections, 3);
+    assert_eq!(stats.selections, 4);
     assert_eq!(mmplan_count(&dir), 0, "no entry may land on disk");
-    assert_spent_exactly(&ledger, 3, per_answer);
+    assert_spent_exactly(&ledger, 4, per_answer);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Schedule: the first store save fails on all its attempts.  That is one
+/// failed persist, however many attempts it took: under the default
+/// threshold the breaker stays closed, and the next cold workload's save
+/// lands.
+#[test]
+fn one_failed_persist_counts_once_on_the_breaker_and_the_next_save_lands() {
+    let dir = scratch_dir("one-failed-persist");
+    let engine = Engine::builder()
+        .privacy(PrivacyParams::paper_default())
+        .strategy_store(&dir)
+        .fault_injector(
+            FaultSchedule::new()
+                .inject_at(FaultSite::StoreWrite, 0, Fault::Fail)
+                .inject_at(FaultSite::StoreWrite, 1, Fault::Fail)
+                .inject_at(FaultSite::StoreWrite, 2, Fault::Fail),
+        )
+        .build()
+        .expect("engine builds");
+
+    let mut rng = StdRng::seed_from_u64(0);
+    let answer = engine
+        .answer(&workload(8), &data(8), &mut rng)
+        .expect("the answer survives its failed persist");
+    assert_eq!(bits(&answer.answers), baseline_bits(8, 0));
+    let stats = engine.stats();
+    assert_eq!(stats.store_save_failures, 3, "all three attempts failed");
+    assert_eq!(stats.store_writes, 0);
+    let health = engine.store_health();
+    assert_eq!(health.breaker, BreakerState::Closed);
+    assert_eq!(health.consecutive_failures, 1, "one failed persist");
+
+    let mut rng = StdRng::seed_from_u64(1);
+    let answer = engine
+        .answer(&workload(9), &data(9), &mut rng)
+        .expect("second answer");
+    assert_eq!(bits(&answer.answers), baseline_bits(9, 1));
+    let stats = engine.stats();
+    assert_eq!(stats.store_writes, 1, "the next save lands");
+    assert_eq!(stats.store_save_failures, 3);
+    assert_eq!(engine.store_health().breaker, BreakerState::Closed);
+    assert_eq!(engine.store_health().consecutive_failures, 0);
+    assert_eq!(mmplan_count(&dir), 1);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -723,3 +723,304 @@ fn served_batches_charge_a_shared_ledger_once_per_vector() {
         }
     }
 }
+
+/// A gate that holds selections until it is opened, counting the ones it
+/// has held.
+#[derive(Default)]
+struct Gate {
+    /// (open, selections held so far)
+    state: std::sync::Mutex<(bool, usize)>,
+    cv: std::sync::Condvar,
+}
+
+impl Gate {
+    fn hold(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.1 += 1;
+        self.cv.notify_all();
+        while !state.0 {
+            state = self.cv.wait(state).unwrap();
+        }
+    }
+
+    fn wait_held(&self) {
+        let mut state = self.state.lock().unwrap();
+        while state.1 == 0 {
+            state = self.cv.wait(state).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().0 = true;
+        self.cv.notify_all();
+    }
+}
+
+/// Opens its gate when dropped, so a failing assertion cannot leave a
+/// worker or a thread held while the serving tier's drop joins them.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// Holds the selections of one dimension at a gate and lets every other
+/// dimension through.
+struct DimensionGatedSelector {
+    dim: usize,
+    gate: Arc<Gate>,
+    inner: adaptive_dp::core::engine::EigenDesignSelector,
+}
+
+impl std::fmt::Debug for DimensionGatedSelector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DimensionGatedSelector")
+            .field("dim", &self.dim)
+            .finish_non_exhaustive()
+    }
+}
+
+impl StrategySelector for DimensionGatedSelector {
+    fn name(&self) -> String {
+        "dimension-gated".into()
+    }
+
+    fn select(&self, ctx: &SelectionContext) -> adaptive_dp::core::Result<Strategy> {
+        if ctx.dim() == self.dim {
+            self.gate.hold();
+        }
+        self.inner.select(ctx)
+    }
+}
+
+fn gated_engine(dim: usize, gate: &Arc<Gate>) -> Arc<Engine> {
+    Arc::new(
+        Engine::builder()
+            .privacy(PrivacyParams::paper_default())
+            .selector(DimensionGatedSelector {
+                dim,
+                gate: gate.clone(),
+                inner: Default::default(),
+            })
+            .build()
+            .expect("engine builds"),
+    )
+}
+
+fn all_range(n: usize) -> Arc<AllRangeWorkload> {
+    Arc::new(AllRangeWorkload::new(Domain::one_dim(n)))
+}
+
+fn counts(n: usize) -> Vec<f64> {
+    (0..n).map(|i| 4.0 + 2.0 * i as f64).collect()
+}
+
+fn answer_bits(answers: &[f64]) -> Vec<u64> {
+    answers.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Runs `f` on a thread of its own and returns its result, failing the test
+/// rather than hanging it when `f` has not returned within ten seconds.
+fn within_ten_seconds<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+        Ok(value) => {
+            handle.join().expect("the thread returned its value");
+            value
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what} did not return within 10 s"),
+        // The sender is gone without a value: `f` panicked; re-raise it.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("f panicked"))
+        }
+    }
+}
+
+/// Polls a future once with a waker that does nothing.
+fn poll_once<F: std::future::Future + Unpin>(future: &mut F) -> std::task::Poll<F::Output> {
+    let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+    std::pin::Pin::new(future).poll(&mut cx)
+}
+
+/// Requests admitted before their tier is dropped but first polled after:
+/// a warm one still answers, and a cold one resolves with a typed error
+/// instead of enqueueing a job that no worker is left to run.
+#[test]
+fn a_cold_request_first_polled_after_its_tier_is_dropped_resolves_typed() {
+    let engine = Arc::new(
+        Engine::builder()
+            .privacy(PrivacyParams::paper_default())
+            .build()
+            .expect("engine builds"),
+    );
+    let serve = ServeEngine::builder(engine.clone()).workers(1).build();
+    let (warm_w, cold_w) = (all_range(10), all_range(12));
+    let mut rng = StdRng::seed_from_u64(1);
+    engine
+        .answer(&*warm_w, &counts(10), &mut rng)
+        .expect("warms the cache");
+    let warm = serve.answer(warm_w, counts(10), 2);
+    let cold = serve.answer(cold_w.clone(), counts(12), 3);
+    drop(serve);
+
+    within_ten_seconds("the warm request", move || block_on(warm))
+        .expect("a warm request answers without the tier's workers");
+    match within_ten_seconds("the cold request", move || block_on(cold)) {
+        Err(ServeError::Mechanism(e)) => {
+            assert!(
+                matches!(&*e, MechanismError::PoisonedSelection(_)),
+                "expected a typed poison, got {e}"
+            );
+            assert!(e.to_string().contains("shut down"), "{e}");
+            assert!(e.is_transient());
+        }
+        other => panic!("expected the shut-down tier's typed error, got {other:?}"),
+    }
+    // Nothing is left in flight, and the engine still selects the workload.
+    assert_eq!(engine.in_flight_selections(), 0);
+    let mut rng = StdRng::seed_from_u64(3);
+    engine
+        .answer(&*cold_w, &counts(12), &mut rng)
+        .expect("the engine outlives its tier");
+    assert_eq!(engine.stats().selections, 2);
+}
+
+/// Dropping the tier while a job waits behind a held worker: the drop
+/// drains the queue before the workers leave, so every pending request
+/// (the held one, the queued one and one that joined it) resolves.
+#[test]
+fn dropping_the_tier_with_a_job_queued_behind_a_held_worker_resolves_every_request() {
+    let gate = Arc::new(Gate::default());
+    let engine = gated_engine(8, &gate);
+    let serve = ServeEngine::builder(engine.clone()).workers(1).build();
+    let _open = OpenOnDrop(gate.clone());
+    let queued_w = all_range(9);
+    let mut held = serve.answer(all_range(8), counts(8), 1);
+    let mut queued = serve.answer(queued_w.clone(), counts(9), 2);
+    let mut joined = serve.answer(queued_w, counts(9), 3);
+    assert!(poll_once(&mut held).is_pending());
+    gate.wait_held();
+    assert!(poll_once(&mut queued).is_pending());
+    assert!(poll_once(&mut joined).is_pending());
+    let health = serve.health();
+    assert_eq!(
+        health.queue_depth, 1,
+        "the queued job waits behind the held worker"
+    );
+    assert_eq!(health.pending_selections, 2);
+    assert_eq!(serve.stats().selection_jobs, 2, "the joiner queued no job");
+
+    let dropper = std::thread::spawn(move || drop(serve));
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    assert!(!dropper.is_finished(), "the drop waits for the held worker");
+    gate.open();
+    dropper
+        .join()
+        .expect("the drop returns once the queue is drained");
+
+    let results = within_ten_seconds("the pending requests", move || {
+        block_on(adaptive_dp::serve::join_all(vec![held, queued, joined]))
+    });
+    for result in results {
+        result.expect("every admitted request resolves with its answer");
+    }
+    assert_eq!(engine.stats().selections, 2);
+    assert_eq!(engine.in_flight_selections(), 0);
+}
+
+/// A served request that meets a flight a synchronous caller leads waits on
+/// that very flight: it enqueues no job and occupies no worker, and once
+/// the caller publishes it resolves bit-identically to a direct answer at
+/// its seed.
+#[test]
+fn a_served_request_waits_on_a_synchronous_leaders_flight_without_a_job() {
+    let gate = Arc::new(Gate::default());
+    let engine = gated_engine(16, &gate);
+    let serve = ServeEngine::builder(engine.clone()).workers(1).build();
+    let _open = OpenOnDrop(gate.clone());
+    let w = all_range(16);
+    let leader = {
+        let (engine, w) = (engine.clone(), w.clone());
+        std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(5);
+            engine.answer(&*w, &counts(16), &mut rng).map(|_| ())
+        })
+    };
+    gate.wait_held();
+
+    let mut served = serve.answer(w.clone(), counts(16), 7);
+    assert!(poll_once(&mut served).is_pending());
+    assert_eq!(serve.stats().selection_jobs, 0, "no job for a led flight");
+    let health = serve.health();
+    assert_eq!(health.queue_depth, 0);
+    assert_eq!(
+        health.pending_selections, 1,
+        "the synchronous leader's flight"
+    );
+
+    gate.open();
+    leader
+        .join()
+        .expect("leader thread")
+        .expect("leader answers");
+    let served = within_ten_seconds("the served request", move || block_on(served))
+        .expect("the served request answers");
+    let mut rng = StdRng::seed_from_u64(7);
+    let direct = engine
+        .answer(&*w, &counts(16), &mut rng)
+        .expect("direct answer");
+    assert_eq!(answer_bits(&served.answers), answer_bits(&direct.answers));
+    assert_eq!(engine.stats().selections, 1);
+    let stats = serve.stats();
+    assert_eq!(stats.selection_jobs, 0);
+    assert_eq!(stats.completed, 1);
+}
+
+/// A synchronous caller that meets a flight a served request founded, whose
+/// job waits behind a held worker, never waits behind the serve queue: it
+/// selects the workload itself and returns while the worker is still held.
+#[test]
+fn a_synchronous_caller_never_waits_behind_the_serve_queue() {
+    let gate = Arc::new(Gate::default());
+    let engine = gated_engine(8, &gate);
+    let serve = ServeEngine::builder(engine.clone()).workers(1).build();
+    let _open = OpenOnDrop(gate.clone());
+    let w = all_range(12);
+    let mut held = serve.answer(all_range(8), counts(8), 1);
+    let mut queued = serve.answer(w.clone(), counts(12), 2);
+    assert!(poll_once(&mut held).is_pending());
+    gate.wait_held();
+    assert!(poll_once(&mut queued).is_pending());
+    assert_eq!(serve.health().queue_depth, 1);
+    assert_eq!(serve.stats().selection_jobs, 2);
+
+    let direct = {
+        let (engine, w) = (engine.clone(), w.clone());
+        within_ten_seconds("a synchronous caller", move || {
+            let mut rng = StdRng::seed_from_u64(3);
+            engine.answer(&*w, &counts(12), &mut rng).map(|_| ())
+        })
+    };
+    direct.expect("the synchronous caller answers");
+    assert_eq!(
+        engine.stats().selections,
+        1,
+        "the synchronous caller ran the one finished selection"
+    );
+    assert_eq!(serve.health().queue_depth, 1, "the worker is still held");
+
+    gate.open();
+    within_ten_seconds("the held request", move || block_on(held)).expect("held answers");
+    within_ten_seconds("the queued request", move || block_on(queued)).expect("queued answers");
+    assert_eq!(
+        engine.stats().selections,
+        2,
+        "one selection per workload: the queued job found the plan selected"
+    );
+}
